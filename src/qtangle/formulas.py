@@ -108,7 +108,7 @@ def p1(config: RoofConfig | None = None) -> float:
     lo, hi = p0(), 1.0
     while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
-        value, _ = roof_minimize(catalog.rho_ghz_w(mid), "three_tangle", config)
+        value = roof_minimize(catalog.rho_ghz_w(mid), "three_tangle", config).value
         if value > 1e-4:
             hi = mid
         else:

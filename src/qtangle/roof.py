@@ -7,7 +7,10 @@ restart draws an isometry, takes a few sweeps of two-column rotation descent,
 then a batched Levenberg-Marquardt polish of the member-mixing unitary
 (Cayley-parameterized, residuals sqrt(p_i * measure_i)). The polish is what
 reaches 1e-8-and-below on states whose optimal ensembles sit in narrow curved
-valleys where pair rotations alone stall.
+valleys where pair rotations alone stall. Its finite-difference Jacobian
+evaluates only the member columns a probe changes (one per diagonal generator,
+two per off-diagonal one), so each step is one kernel call of 2m^2 rows per
+restart, and a rejected step keeps the Jacobian it already has.
 
 Restart draws alternate between Haar isometries and, when the spectrum has a
 degenerate cluster, block-diagonal draws that keep each cluster's members inside
@@ -126,6 +129,12 @@ class RoofConfig:
             raise StateError("restarts must be >= 1")
         if self.max_ensemble_size is not None and self.max_ensemble_size < 1:
             raise StateError("max_ensemble_size must be >= 1 when given")
+        if not (0.0 <= self.objective_tolerance < np.inf):
+            raise StateError(
+                f"objective_tolerance must be finite and >= 0, got {self.objective_tolerance!r}"
+            )
+        if self.max_iterations < 0:
+            raise StateError(f"max_iterations must be >= 0, got {self.max_iterations!r}")
 
 
 @dataclass(frozen=True)
@@ -334,8 +343,14 @@ class _LockstepPolish:
     """Batched Levenberg-Marquardt on the member-mixing unitary of every restart.
 
     Residuals are sqrt(p_i * measure_i); each iteration recenters the Cayley
-    parameterization at the current columns, so the finite-difference direction
-    matrices are fixed and shared across restarts and iterations.
+    parameterization at the current columns, so the finite-difference probes
+    are fixed and shared across restarts and iterations. A probe
+    cayley(STEP * dir) differs from the identity in one column for a diagonal
+    generator and in two for an off-diagonal one; every other member comes out
+    as an exact copy whose Jacobian entry is exactly zero. So ``linearize``
+    evaluates only the m current members and the 2m^2 - m probed ones, 2m^2
+    rows per restart in one kernel call. A rejected step leaves the columns
+    untouched, so its residuals and Jacobian stay exact and are kept.
     """
 
     STEP = 1e-7
@@ -343,32 +358,53 @@ class _LockstepPolish:
     def __init__(self, m: int) -> None:
         self.m = m
         self.n_params = m * m
-        dirs = _generator_directions(m)
-        steps = _cayley(self.STEP * dirs)
-        self.probe = np.concatenate([np.eye(m, dtype=complex)[None], steps], axis=0)
+        self.dirs = _generator_directions(m)
+        eye = np.eye(m, dtype=complex)
+        probes = _cayley(self.STEP * self.dirs)
+        # (parameter, column) of every probed member, parameter-major.
+        self.probed_param, self.probed_col = np.nonzero(np.any(probes != eye, axis=1))
+        self.columns = np.concatenate(
+            [eye, probes[self.probed_param, :, self.probed_col].T], axis=1
+        )  # (m, m + Q)
         self.eye_p = np.eye(self.n_params)
+
+    def linearize(
+        self, w: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Contributions (R, m), residuals (R, m) and Jacobian (P, R, m) at w."""
+        m = self.m
+        # einsum, not matmul: a BLAS product may fuse the multiply-adds and
+        # round the probed members differently from the finite-difference form.
+        contrib = _contributions(np.einsum("rdm,mn->rdn", w, self.columns), fn)
+        res = np.sqrt(np.maximum(contrib, 0.0))
+        base = np.ascontiguousarray(res[:, :m])
+        jac = np.zeros((self.n_params, w.shape[0], m))
+        jac[self.probed_param, :, self.probed_col] = (
+            (res[:, m:] - base[:, self.probed_col]) / self.STEP
+        ).T
+        return contrib[:, :m], base, jac
 
     def iterate(
         self,
         w: np.ndarray,
         cost: np.ndarray,
         damping: np.ndarray,
+        res: np.ndarray,
+        jac: np.ndarray,
         fn: Callable[[np.ndarray], np.ndarray],
-        dirs: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        probed = np.einsum("rdm,pmn->prdn", w, self.probe)
-        res = np.sqrt(np.maximum(_contributions(probed, fn), 0.0))  # (P+1, R, m)
-        jac = (res[1:] - res[0]) / self.STEP  # (P, R, m)
-        grad = np.einsum("prm,rm->rp", jac, res[0])
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One damped step per restart; returns (w, cost, damping, accept, res, jac)."""
+        grad = np.einsum("prm,rm->rp", jac, res)
         hess = np.einsum("prm,qrm->rpq", jac, jac)
         hess = hess + damping[:, None, None] * self.eye_p[None]
         try:
             delta = np.linalg.solve(hess, -grad[..., None])[..., 0]
         except np.linalg.LinAlgError:
             delta = -grad / np.maximum(damping, 1.0)[:, None]
-        gen = np.einsum("rp,pmn->rmn", delta, dirs)
+        gen = np.einsum("rp,pmn->rmn", delta, self.dirs)
         candidates = np.einsum("rdm,rmn->rdn", w, _cayley(gen))
-        cand_cost = np.maximum(_contributions(candidates, fn), 0.0).sum(axis=1)
+        cand_contrib, cand_res, cand_jac = self.linearize(candidates, fn)
+        cand_cost = np.maximum(cand_contrib, 0.0).sum(axis=1)
         # Accept only meaningful drops; float-dust improvements would otherwise
         # keep a stalled restart alive indefinitely.
         accept = (cost - cand_cost) > np.maximum(1e-16, 1e-10 * cost)
@@ -376,7 +412,9 @@ class _LockstepPolish:
         cost = np.where(accept, cand_cost, cost)
         damping = np.where(accept, damping * 0.35, damping * 5.0)
         damping = np.clip(damping, 1e-13, 1e8)
-        return w, cost, damping, accept
+        res = np.where(accept[:, None], cand_res, res)
+        jac = np.where(accept[None, :, None], cand_jac, jac)
+        return w, cost, damping, accept, res, jac
 
 
 def roof_minimize(
@@ -425,7 +463,7 @@ def roof_minimize(
 
     cost = contrib.sum(axis=1)
     polish = _LockstepPolish(m)
-    dirs = _generator_directions(m)
+    res = jac = None
     damping = np.full(cfg.restarts, 1e-2)
     streak = np.zeros(cfg.restarts, dtype=int)
     active = np.ones(cfg.restarts, dtype=bool)
@@ -434,11 +472,14 @@ def roof_minimize(
     while iterations < cfg.max_iterations and np.any(active):
         if float(cost.min()) <= cfg.objective_tolerance:
             break
+        if res is None:
+            _, res, jac = polish.linearize(w, fn)  # every restart is still active
         idx = np.nonzero(active)[0]
-        w_a, cost_a, damp_a, accepted = polish.iterate(
-            w[idx], cost[idx], damping[idx], fn, dirs
+        w_a, cost_a, damp_a, accepted, res_a, jac_a = polish.iterate(
+            w[idx], cost[idx], damping[idx], res[idx], jac[:, idx], fn
         )
         w[idx], cost[idx], damping[idx] = w_a, cost_a, damp_a
+        res[idx], jac[:, idx] = res_a, jac_a
         iterations += 1
         lm_iter += 1
         streak[idx] = np.where(accepted, 0, streak[idx] + 1)

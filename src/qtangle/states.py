@@ -7,6 +7,7 @@ computational-basis index, so ``|q0 q1 ... q_{n-1}>`` maps to index
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -84,6 +85,8 @@ class StateVector:
         if n != self.n_qubits:
             raise StateError(f"length {amps.shape[0]} does not match n_qubits={self.n_qubits}")
         norm = float(np.sum(np.abs(amps) ** 2))
+        if not math.isfinite(norm):  # NaN and infinite amplitudes propagate here
+            raise StateError(f"state vector amplitudes must be finite, got norm**2 = {norm!r}")
         if abs(norm - 1.0) > UNIT_ATOL:
             raise StateError(f"state vector norm**2 = {norm!r} is not 1 within {UNIT_ATOL}")
         amps.setflags(write=False)

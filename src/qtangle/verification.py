@@ -122,7 +122,7 @@ def _criterion_3(cfg: RoofConfig) -> CheckRow:
 def _criterion_4(cfg: RoofConfig) -> CheckRow:
     worst = 0.0
     for p in np.arange(0.1, 0.95, 0.1):
-        value, _ = roof_minimize(catalog.rho_abd(float(p)), "three_tangle", cfg)
+        value = roof_minimize(catalog.rho_abd(float(p)), "three_tangle", cfg).value
         worst = max(worst, value)
     return _row("criterion_4", worst <= 1e-6, 0.0, worst, 1e-6)
 
@@ -139,9 +139,9 @@ def _criterion_5(cfg: RoofConfig) -> CheckRow:
                 ok = ok and pair <= 1e-10
         for drop in range(4):
             keep = tuple(q for q in range(4) if q != drop)
-            value, _ = roof_minimize(partial_trace(state, keep), "three_tangle", cfg)
+            value = roof_minimize(partial_trace(state, keep), "three_tangle", cfg).value
             worst_roof = max(worst_roof, value)
-        value, _ = roof_minimize(state, "e_ms", cfg)
+        value = roof_minimize(state, "e_ms", cfg).value
         worst_roof = max(worst_roof, value)
         ok = ok and measures.negativity(state, (0,)) > 1e-3
     ok = ok and worst_roof <= 1e-6
@@ -160,7 +160,7 @@ def _criterion_6(cfg: RoofConfig) -> CheckRow:
     for n in (3, 4):
         formula = formulas.tau_a1_formula(n)
         state = catalog.rho_wn_mix(n, 1.0 / (n + 1))
-        value, _ = roof_minimize(state, "one_tangle", cfg, partition=(0,))
+        value = roof_minimize(state, "one_tangle", cfg, partition=(0,)).value
         direct = value
         gap = max(gap, abs(value - formula))
         ok = ok and abs(value - formula) <= 1e-3 and value >= formula - 1e-3
@@ -202,7 +202,7 @@ def _criterion_8(cfg: RoofConfig) -> CheckRow:
         ensemble = measure_env_povm(psi, (3,), povm)
         average = ensemble.average(lambda s: measures.one_tangle(s, (0,)))
         rho = catalog.rho_ghz_w(float(p))
-        roof_value, _ = roof_minimize(rho, "one_tangle", cfg, partition=(0,))
+        roof_value = roof_minimize(rho, "one_tangle", cfg, partition=(0,)).value
         ok = ok and average >= roof_value - 1e-6
         best = np.inf
         for phi in np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False):

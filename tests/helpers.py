@@ -3,11 +3,14 @@
 The oracles here deliberately avoid the package's own computation paths:
 the concurrence oracle goes through the Hermitian square-root construction,
 and the three-tangle oracle evaluates the degree-4 polynomial invariant.
+The dense polish linearization rebuilds every finite-difference probe
+ensemble in full, as the sparse production path avoids doing.
 """
 
 import numpy as np
 
 from qtangle import DensityMatrix, StateVector
+from qtangle.roof import _cayley, _contributions, _generator_directions
 
 SY2 = np.kron(
     np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -69,3 +72,13 @@ def hyperdet_tau_oracle(amps: np.ndarray) -> float:
 
 def projector(psi: StateVector) -> np.ndarray:
     return np.outer(psi.amplitudes, psi.amplitudes.conj())
+
+
+def dense_linearize(w: np.ndarray, fn, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals (R, m) and Jacobian (m^2, R, m) from all m^2 + 1 probe ensembles."""
+    m = w.shape[-1]
+    eye = np.eye(m, dtype=complex)
+    probe = np.concatenate([eye[None], _cayley(step * _generator_directions(m))], axis=0)
+    probed = np.einsum("rdm,pmn->prdn", w, probe)
+    res = np.sqrt(np.maximum(_contributions(probed, fn), 0.0))  # (m^2 + 1, R, m)
+    return res[0], (res[1:] - res[0]) / step

@@ -21,7 +21,9 @@ from qtangle import (
     w,
 )
 
-from helpers import random_density
+from qtangle.roof import _LockstepPolish, _resolve_measure
+
+from helpers import dense_linearize, random_density
 
 LIGHT = RoofConfig(restarts=4, max_iterations=100, seed=1)
 
@@ -71,6 +73,12 @@ def test_roof_config_validation():
         RoofConfig(restarts=0)
     with pytest.raises(StateError):
         RoofConfig(max_ensemble_size=0)
+    for tol in (float("nan"), float("inf"), -1e-8):
+        with pytest.raises(StateError):
+            RoofConfig(objective_tolerance=tol)
+    with pytest.raises(StateError):
+        RoofConfig(max_iterations=-5)
+    RoofConfig(objective_tolerance=0.0, max_iterations=0)
 
 
 def test_ensemble_from_identity_isometry_is_spectral():
@@ -151,6 +159,53 @@ def test_roof_determinism():
     for (p1, s1), (p2, s2) in zip(first.ensemble.members, second.ensemble.members):
         assert p1 == p2
         assert np.array_equal(s1.amplitudes, s2.amplitudes)
+
+
+def _random_columns(rng: np.random.Generator, restarts: int, dim: int, m: int) -> np.ndarray:
+    return rng.normal(size=(restarts, dim, m)) + 1j * rng.normal(size=(restarts, dim, m))
+
+
+@pytest.mark.parametrize(
+    "measure, n, m",
+    [("three_tangle", 3, 4), ("one_tangle", 3, 4), ("e_ms", 4, 8)],
+)
+def test_polish_linearize_matches_dense_probes(measure, n, m):
+    rng = np.random.default_rng(97)
+    fn = _resolve_measure(measure, n, (0,))
+    polish = _LockstepPolish(m)
+    w = _random_columns(rng, 3, 2**n, m) / 4.0
+    contrib, res, jac = polish.linearize(w, fn)
+    dense_res, dense_jac = dense_linearize(w, fn, polish.STEP)
+    assert np.array_equal(res, dense_res)
+    assert np.array_equal(jac, dense_jac)
+    assert np.array_equal(res, np.sqrt(np.maximum(contrib, 0.0)))
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_polish_iterate_makes_one_kernel_call(m):
+    rng = np.random.default_rng(101)
+    kernel = _resolve_measure("three_tangle", 3, (0,))
+    calls = []
+
+    def fn(states):
+        calls.append(states.shape[0])
+        return kernel(states)
+
+    polish = _LockstepPolish(m)
+    restarts = 5
+    w = _random_columns(rng, restarts, 8, m) / 4.0
+    contrib, res, jac = polish.linearize(w, fn)
+    cost = np.maximum(contrib, 0.0).sum(axis=1)
+    calls.clear()
+    out = polish.iterate(w, cost, np.full(restarts, 1e-2), res, jac, fn)
+    assert calls == [2 * m * m * restarts]
+    w_new, _, _, accept, res_new, jac_new = out
+    assert accept.any() and not accept.all()
+    # Accepted restarts carry the candidate's exact linearization; rejected
+    # ones keep the old one, which is still exact because w did not move.
+    _, fresh_res, fresh_jac = polish.linearize(w_new, kernel)
+    assert np.array_equal(res_new, fresh_res)
+    assert np.array_equal(jac_new, fresh_jac)
 
 
 def test_roof_rank_above_cap_rejected():

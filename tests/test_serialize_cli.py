@@ -69,6 +69,40 @@ def test_load_state_errors(tmp_path):
         load_state(short)
 
 
+@pytest.mark.parametrize(
+    "body, match",
+    [
+        ("index,re,im\n0,1,0\n0,1,0\n", r":3: duplicate index 0, first on line 2"),
+        ("index,re,im\n0,1,0\n", r"missing index 1"),
+        ("index,re,im\n0,1,0\n1,0,0\n2,0,0\n", r"missing index 3"),
+        ("index,re,im\n0,1,0\n2,0,0\n", r":3: index 2 is not an integer in \[0, 2\)"),
+        ("index,re,im\n0,1,0\n-1,0,0\n", r":3: index -1 is not"),
+        ("index,re,im\n0.5,1,0\n1,0,0\n", r":2: index 0.5 is not"),
+        ("index,re,im\n0,1,0\n1,0\n", r":3: 2 cells, expected 3"),
+        ("index,re,im\n0,1,0,0\n1,0,0\n", r":2: 4 cells, expected 3"),
+        ("index,re,im\n0,1,0\n1,zero,0\n", r":3: could not convert"),
+        ("index,re,im\n0,1,0\n1,nan,0\n", r"finite"),
+        ("row,col,re,im\n0,0,1,0\n0,1,0,0\n1,0,0,0\n0,0,0,0\n", r":5: duplicate index 0,0"),
+        ("row,col,re,im\n0,0,1,0\n0,1,0,0\n1,0,0,0\n", r"missing index 1,1"),
+        ("row,col,re,im\n0,0,1,0\n0,1,0,0\n1,0,0,0\n1,2,0,0\n", r":5: index 1,2 is not"),
+        ("row,col,re,im\n0,0,1,0\n0,1,0,0\n1,0,0\n1,1,0,0\n", r":4: 3 cells, expected 4"),
+        ("row,col,re,im\n0,0,1,0\n0,1,0,0\n1,0,0,0\n1,1,0,i\n", r":5: could not convert"),
+    ],
+)
+def test_load_state_rejects_malformed_rows(tmp_path, body, match):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    with pytest.raises(StateError, match=match) as info:
+        load_state(path)
+    assert str(path) in str(info.value)
+
+
+def test_load_state_accepts_any_row_order(tmp_path):
+    path = tmp_path / "v.csv"
+    path.write_text("index,re,im\n1,0,0\n\n0,1,0\n")
+    assert np.array_equal(load_state(path).amplitudes, [1.0, 0.0])
+
+
 def test_sweep_spec_validation():
     cfg = RoofConfig()
     with pytest.raises(StateError):
@@ -177,7 +211,7 @@ def test_cli_state_round_trips(tmp_path):
     assert np.array_equal(load_state(out2).matrix, rho_ghz_w(0.3).matrix)
 
 
-def test_cli_usage_errors(tmp_path):
+def test_cli_usage_errors(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     assert main(["state", "--family", "ghz", "--out", out]) == 2  # missing param
     assert main(["state", "--family", "ghz", "3.5", "--out", out]) == 2
@@ -188,6 +222,11 @@ def test_cli_usage_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["sweep", "--family", "wn_mix", "--config", str(bad), "--out", out]) == 2
+    for text in ('{"objective_tolerance": NaN}', '{"max_iterations": -5}'):
+        invalid = tmp_path / "invalid.json"
+        invalid.write_text(text)
+        assert main(["verify", "--config", str(invalid)]) == 2
+        assert "error:" in capsys.readouterr().err
     unknown = tmp_path / "unknown.json"
     unknown.write_text('{"population": 3}')
     assert (

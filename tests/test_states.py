@@ -24,6 +24,9 @@ def test_state_vector_validation():
         StateVector(np.array([1.0, 1.0]), 1)  # not normalized
     with pytest.raises(StateError):
         StateVector(np.array([1.0, 0.0, 0.0, 0.0]), 1)  # qubit count mismatch
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        with pytest.raises(StateError, match="finite"):
+            StateVector(np.array([bad, 0.0, 0.0, 0.0]), 2)
     psi = StateVector(np.array([1.0, 0.0]), 1)
     assert psi.dim == 2
 
