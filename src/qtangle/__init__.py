@@ -34,7 +34,6 @@ from .formulas import (
     tau_a1_formula,
 )
 from .measures import (
-    MeasureValue,
     concurrence,
     e_ms,
     negativity,
@@ -95,7 +94,6 @@ __all__ = [
     "rho_wn_mix",
     "psi_n1",
     # measures
-    "MeasureValue",
     "one_tangle",
     "single_property",
     "concurrence",

@@ -24,12 +24,14 @@ class _UsageError(Exception):
     pass
 
 
-_CONFIG_KEYS: dict[str, Callable[[object], object]] = {
-    "restarts": int,
-    "max_ensemble_size": int,
-    "objective_tolerance": float,
-    "max_iterations": int,
-    "seed": int,
+# The JSON types each config key takes. A bool is never accepted, although
+# Python counts it as an int.
+_CONFIG_KEYS: dict[str, tuple[type, ...]] = {
+    "restarts": (int,),
+    "max_ensemble_size": (int, type(None)),
+    "objective_tolerance": (int, float),
+    "max_iterations": (int,),
+    "seed": (int,),
 }
 
 _STATE_FAMILIES: dict[str, tuple[Callable, tuple[Callable, ...]]] = {
@@ -90,10 +92,9 @@ def _load_config(path: str | None, seed: int | None) -> RoofConfig:
         for key, value in data.items():
             if key not in _CONFIG_KEYS:
                 raise _UsageError(f"unknown config key {key!r}")
-            try:
-                kwargs[key] = _CONFIG_KEYS[key](value)
-            except (TypeError, ValueError) as exc:
-                raise _UsageError(f"config key {key!r}: {exc}") from exc
+            if isinstance(value, bool) or not isinstance(value, _CONFIG_KEYS[key]):
+                raise _UsageError(f"config key {key!r} does not take {json.dumps(value)}")
+            kwargs[key] = value
     if seed is not None:
         kwargs["seed"] = seed
     return RoofConfig(**kwargs)

@@ -1,6 +1,11 @@
 """Entanglement measures: one-tangle, Wootters concurrence, three-tangle,
 the mean residual tangle e_ms, and negativity.
 
+The pure-state measures are one-row calls into the :mod:`qtangle._batched`
+kernels, which are their only production implementation; independent scalar
+oracles for them live in ``tests/helpers.py``. The mixed-state ``concurrence``
+and ``negativity`` are computed here.
+
 All measures share one clamping policy: a result in (-1e-9, 0) is floating-point
 noise and clamps to 0; anything at or below -1e-9 raises, because that signals a
 bug rather than roundoff.
@@ -8,24 +13,21 @@ bug rather than roundoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 import numpy as np
 
+from ._batched import _YY, e_ms_batch, one_tangle_batch, three_tangle_batch
 from .states import (
     DensityMatrix,
     StateError,
     StateVector,
     check_subset,
-    partial_trace,
     partial_transpose,
     trace_norm,
 )
 
 __all__ = [
-    "MeasureValue",
     "one_tangle",
     "single_property",
     "concurrence",
@@ -36,28 +38,11 @@ __all__ = [
 
 CLAMP_FLOOR = -1e-9
 
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
-
-
-@dataclass(frozen=True)
-class MeasureValue:
-    """A named measure result, with the partition it was taken on when relevant."""
-
-    name: str
-    value: float
-    partition: tuple[int, ...] | None = None
-
 
 def _clamp(value: float, what: str) -> float:
     if value < CLAMP_FLOOR:
         raise StateError(f"{what} = {value!r} is below the {CLAMP_FLOOR} noise floor")
     return 0.0 if value < 0.0 else value
-
-
-def _purity(psi: StateVector, k: tuple[int, ...]) -> float:
-    reduced = partial_trace(psi, k).matrix
-    return float(np.einsum("ij,ji->", reduced, reduced).real)
 
 
 def one_tangle(psi: StateVector, k: Iterable[int]) -> float:
@@ -66,13 +51,12 @@ def one_tangle(psi: StateVector, k: Iterable[int]) -> float:
     ``k`` must be a proper, nonempty subset of the register.
     """
     subset = check_subset(k, psi.n_qubits, allow_full=False)
-    return 2.0 * (1.0 - _purity(psi, subset))
+    return float(one_tangle_batch(psi.amplitudes[None], psi.n_qubits, subset)[0])
 
 
 def single_property(psi: StateVector, k: Iterable[int]) -> float:
     """Complement 2 tr rho_k^2 - 1 of the one-tangle; the two sum to exactly 1."""
-    subset = check_subset(k, psi.n_qubits, allow_full=False)
-    return 2.0 * _purity(psi, subset) - 1.0
+    return 1.0 - one_tangle(psi, k)
 
 
 def _wootters_sqrt_eigs(rho: np.ndarray) -> np.ndarray:
@@ -101,19 +85,16 @@ def concurrence(rho: DensityMatrix) -> float:
 
 
 def three_tangle_pure(psi: StateVector) -> float:
-    """Residual tangle tau_A - C_AB^2 - C_AC^2 of a three-qubit pure state.
+    """Three-tangle 4|hyperdet| of a three-qubit pure state.
 
-    The monogamy relation keeps the residual in [0, 1] mathematically; float
-    noise below is clamped, and the value does not depend on which qubit plays
-    the role of A (tested to 1e-9).
+    It equals the residual tau_A - C_AB^2 - C_AC^2, which the monogamy
+    relation keeps in [0, 1] whichever qubit plays the role of A; rounding
+    above 1 is cut off.
     """
     if psi.n_qubits != 3:
         raise StateError(f"three_tangle_pure needs 3 qubits, got {psi.n_qubits}")
-    tau = one_tangle(psi, (0,))
-    c_ab = concurrence(partial_trace(psi, (0, 1)))
-    c_ac = concurrence(partial_trace(psi, (0, 2)))
-    residual = _clamp(tau - c_ab**2 - c_ac**2, "three-tangle residual")
-    return min(residual, 1.0)
+    value = float(three_tangle_batch(psi.amplitudes[None])[0])
+    return min(_clamp(value, "three-tangle"), 1.0)
 
 
 def e_ms(psi: StateVector) -> float:
@@ -126,11 +107,7 @@ def e_ms(psi: StateVector) -> float:
     n = psi.n_qubits
     if n < 3:
         raise StateError(f"e_ms needs at least 3 qubits, got {n}")
-    tau_sum = sum(one_tangle(psi, (k,)) for k in range(n))
-    c_sq_sum = sum(
-        concurrence(partial_trace(psi, pair)) ** 2 for pair in combinations(range(n), 2)
-    )
-    return _clamp((tau_sum - 2.0 * c_sq_sum) / n, "e_ms")
+    return _clamp(float(e_ms_batch(psi.amplitudes[None], n)[0]), "e_ms")
 
 
 def negativity(rho: DensityMatrix, subset: Iterable[int]) -> float:

@@ -174,7 +174,7 @@ def _resolve_measure(
     if name in ("three_tangle", "three_tangle_pure"):
         if n != 3:
             raise StateError("three_tangle roof needs a 3-qubit state")
-        return lambda s: np.maximum(_batched.three_tangle_batch(s), 0.0)
+        return _batched.three_tangle_batch
     if name == "e_ms":
         if n < 3:
             raise StateError("e_ms roof needs at least 3 qubits")

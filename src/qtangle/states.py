@@ -50,7 +50,6 @@ def check_subset(
     indices: Iterable[int],
     n_qubits: int,
     *,
-    allow_empty: bool = False,
     allow_full: bool = True,
 ) -> tuple[int, ...]:
     """Validate a strictly increasing qubit subset and return it as a tuple."""
@@ -59,7 +58,7 @@ def check_subset(
         raise StateError(f"qubit subset {subset} must be strictly increasing")
     if subset and (subset[0] < 0 or subset[-1] >= n_qubits):
         raise StateError(f"qubit subset {subset} out of range for {n_qubits} qubits")
-    if not subset and not allow_empty:
+    if not subset:
         raise StateError("qubit subset must be nonempty")
     if len(subset) == n_qubits and not allow_full:
         raise StateError("qubit subset must be a proper subset of the register")

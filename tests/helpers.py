@@ -2,24 +2,28 @@
 
 The oracles here deliberately avoid the package's own computation paths:
 the concurrence oracle goes through the Hermitian square-root construction,
-and the three-tangle oracle evaluates the degree-4 polynomial invariant.
+and the pure-state measure oracles (one-tangle, CKW residual, e_ms) take the
+purity and the Wootters concurrence of explicit reduced density matrices,
+where the production kernels in ``qtangle._batched`` work on reshaped
+amplitudes and evaluate the three-tangle as a hyperdeterminant.
 The dense polish linearization rebuilds every finite-difference probe
 ensemble in full, as the sparse production path avoids doing.
 """
 
+from itertools import combinations
+
 import numpy as np
 
-from qtangle import DensityMatrix, StateVector
+from qtangle import DensityMatrix, StateVector, concurrence, partial_trace
 from qtangle.roof import _cayley, _contributions, _generator_directions
+from qtangle.verification import _random_pure
 
 SY2 = np.kron(
     np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.array([[0.0, -1.0j], [1.0j, 0.0]])
 )
 
 
-def random_state(rng: np.random.Generator, n: int) -> StateVector:
-    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return StateVector(amps / np.linalg.norm(amps), n)
+random_state = _random_pure
 
 
 def random_density(rng: np.random.Generator, n: int, rank: int) -> DensityMatrix:
@@ -46,28 +50,27 @@ def concurrence_oracle(rho: np.ndarray) -> float:
     return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def hyperdet_tau_oracle(amps: np.ndarray) -> float:
-    """Three-tangle as the modulus of the 2x2x2 hyperdeterminant, times 4."""
-    a = amps.reshape(2, 2, 2)
-    d1 = (
-        a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2
-        + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
-        + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2
-        + a[1, 0, 0] ** 2 * a[0, 1, 1] ** 2
+def one_tangle_oracle(psi: StateVector, k: tuple[int, ...]) -> float:
+    """2(1 - tr rho_k^2) from the explicit reduced density matrix."""
+    reduced = partial_trace(psi, k).matrix
+    return 2.0 * (1.0 - float(np.einsum("ij,ji->", reduced, reduced).real))
+
+
+def ckw_residual_oracle(psi: StateVector) -> float:
+    """Unclamped monogamy residual tau_A - C_AB^2 - C_AC^2 of a three-qubit state."""
+    c_ab = concurrence(partial_trace(psi, (0, 1)))
+    c_ac = concurrence(partial_trace(psi, (0, 2)))
+    return one_tangle_oracle(psi, (0,)) - c_ab**2 - c_ac**2
+
+
+def e_ms_oracle(psi: StateVector) -> float:
+    """Unclamped [sum_k tau_k - 2 sum_{i<j} C_ij^2] / N over explicit reductions."""
+    n = psi.n_qubits
+    tau_sum = sum(one_tangle_oracle(psi, (k,)) for k in range(n))
+    c_sq_sum = sum(
+        concurrence(partial_trace(psi, pair)) ** 2 for pair in combinations(range(n), 2)
     )
-    d2 = (
-        a[0, 0, 0] * a[1, 1, 1] * a[0, 1, 1] * a[1, 0, 0]
-        + a[0, 0, 0] * a[1, 1, 1] * a[1, 0, 1] * a[0, 1, 0]
-        + a[0, 0, 0] * a[1, 1, 1] * a[1, 1, 0] * a[0, 0, 1]
-        + a[0, 1, 1] * a[1, 0, 0] * a[1, 0, 1] * a[0, 1, 0]
-        + a[0, 1, 1] * a[1, 0, 0] * a[1, 1, 0] * a[0, 0, 1]
-        + a[1, 0, 1] * a[0, 1, 0] * a[1, 1, 0] * a[0, 0, 1]
-    )
-    d3 = (
-        a[0, 0, 0] * a[1, 1, 0] * a[1, 0, 1] * a[0, 1, 1]
-        + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0]
-    )
-    return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
+    return (tau_sum - 2.0 * c_sq_sum) / n
 
 
 def projector(psi: StateVector) -> np.ndarray:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qtangle import (
     DensityMatrix,
@@ -19,8 +21,16 @@ from qtangle import (
     w,
 )
 from qtangle._batched import concurrence_sq_batch, e_ms_batch, one_tangle_batch, three_tangle_batch
+from qtangle.verification import _haar_unitary
 
-from helpers import concurrence_oracle, hyperdet_tau_oracle, random_density, random_state
+from helpers import (
+    ckw_residual_oracle,
+    concurrence_oracle,
+    e_ms_oracle,
+    one_tangle_oracle,
+    random_density,
+    random_state,
+)
 
 
 def _werner(q: float) -> DensityMatrix:
@@ -87,11 +97,28 @@ def test_three_tangle_landmarks():
         three_tangle_pure(ghz(4))
 
 
-def test_three_tangle_matches_hyperdeterminant():
+def test_three_tangle_matches_ckw_residual():
     rng = np.random.default_rng(41)
     for _ in range(200):
         psi = random_state(rng, 3)
-        assert abs(three_tangle_pure(psi) - hyperdet_tau_oracle(psi.amplitudes)) < 1e-9
+        assert abs(three_tangle_pure(psi) - ckw_residual_oracle(psi)) < 1e-9
+
+
+_PARTS = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(_PARTS, min_size=16, max_size=16), st.permutations([0, 1, 2]))
+def test_three_tangle_kernel_properties(parts, order):
+    amps = np.array(parts[:8]) + 1j * np.array(parts[8:])
+    norm = np.linalg.norm(amps)
+    assume(norm > 1e-3)
+    amps = amps / norm
+    permuted = amps.reshape(2, 2, 2).transpose(order).reshape(8)
+    tau, tau_permuted = three_tangle_batch(np.stack([amps, permuted]))
+    assert 0.0 <= tau <= 1.0 + 1e-12
+    assert abs(tau - ckw_residual_oracle(StateVector(amps, 3))) < 1e-9
+    assert abs(tau - tau_permuted) < 1e-12
 
 
 def test_three_tangle_qubit_choice_irrelevant():
@@ -130,15 +157,9 @@ def test_negativity_landmarks():
 
 def test_measures_invariant_under_local_unitaries():
     rng = np.random.default_rng(53)
-
-    def haar(k: int) -> np.ndarray:
-        z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        q, r = np.linalg.qr(z)
-        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
     for _ in range(10):
         psi = random_state(rng, 3)
-        u = np.kron(np.kron(haar(2), haar(2)), haar(2))
+        u = np.kron(np.kron(_haar_unitary(rng), _haar_unitary(rng)), _haar_unitary(rng))
         rotated = StateVector(u @ psi.amplitudes, 3)
         assert abs(one_tangle(psi, (0,)) - one_tangle(rotated, (0,))) < 1e-9
         assert abs(three_tangle_pure(psi) - three_tangle_pure(rotated)) < 1e-9
@@ -152,7 +173,7 @@ def _stack(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     return np.stack([random_state(rng, n).amplitudes for _ in range(count)])
 
 
-def test_batched_kernels_match_scalar_measures():
+def test_batched_kernels_match_oracles():
     rng = np.random.default_rng(59)
     pure3 = _stack(rng, 3, 40)
     batch_tau = one_tangle_batch(pure3, 3, (0,))
@@ -160,13 +181,13 @@ def test_batched_kernels_match_scalar_measures():
     batch_ems3 = e_ms_batch(pure3, 3)
     for i, amps in enumerate(pure3):
         psi = StateVector(amps, 3)
-        assert abs(batch_tau[i] - one_tangle(psi, (0,))) < 1e-10
-        assert abs(batch_t3[i] - three_tangle_pure(psi)) < 1e-10
-        assert abs(batch_ems3[i] - e_ms(psi)) < 1e-10
+        assert abs(batch_tau[i] - one_tangle_oracle(psi, (0,))) < 1e-10
+        assert abs(batch_t3[i] - ckw_residual_oracle(psi)) < 1e-10
+        assert abs(batch_ems3[i] - e_ms_oracle(psi)) < 1e-10
     pure4 = _stack(rng, 4, 20)
     batch_ems4 = e_ms_batch(pure4, 4)
     for i, amps in enumerate(pure4):
-        assert abs(batch_ems4[i] - e_ms(StateVector(amps, 4))) < 1e-10
+        assert abs(batch_ems4[i] - e_ms_oracle(StateVector(amps, 4))) < 1e-10
 
 
 def test_batched_concurrence_matches_scalar():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from qtangle import (
     rho_ghz_w,
     save_state,
 )
-from qtangle.cli import main
+from qtangle.cli import _load_config, main
 from qtangle.serialize import format_number, write_table
 from qtangle.sweep import SweepSpec, preset_spec, run_surface, run_sweep
 from qtangle.verification import CheckRow, VerifyReport
@@ -222,7 +223,13 @@ def test_cli_usage_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["sweep", "--family", "wn_mix", "--config", str(bad), "--out", out]) == 2
-    for text in ('{"objective_tolerance": NaN}', '{"max_iterations": -5}'):
+    for text in (
+        '{"objective_tolerance": NaN}',
+        '{"max_iterations": -5}',
+        '{"restarts": 3.7}',
+        '{"seed": true}',
+        '{"max_iterations": "7"}',
+    ):
         invalid = tmp_path / "invalid.json"
         invalid.write_text(text)
         assert main(["verify", "--config", str(invalid)]) == 2
@@ -233,6 +240,14 @@ def test_cli_usage_errors(tmp_path, capsys):
         main(["sweep", "--family", "wn_mix", "--config", str(unknown), "--out", out])
         == 2
     )
+
+
+def test_readme_config_example_loads_as_defaults(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "config.json"
+    path.write_text(block)
+    assert _load_config(str(path), None) == RoofConfig()
 
 
 def test_cli_unwritable_path_fails(tmp_path):
