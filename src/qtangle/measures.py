@@ -22,6 +22,7 @@ from .states import (
     DensityMatrix,
     StateError,
     StateVector,
+    _clean_spectrum,
     check_subset,
     partial_transpose,
     trace_norm,
@@ -59,27 +60,21 @@ def single_property(psi: StateVector, k: Iterable[int]) -> float:
     return 1.0 - one_tangle(psi, k)
 
 
-def _wootters_sqrt_eigs(rho: np.ndarray) -> np.ndarray:
-    """Descending sqrt-eigenvalues of rho (sigma_y x sigma_y) rho* (sigma_y x sigma_y).
-
-    The product is non-Hermitian, so this takes a general eigenvalue solve and the
-    real parts. Eigenvalues within 1e-12 of zero are clamped before the square
-    root: rank-deficient inputs carry ~1e-16 noise whose sqrt would otherwise
-    pollute the concurrence at the 1e-8 level.
-    """
-    flipped = _YY @ rho.conj() @ _YY
-    lam = np.linalg.eigvals(rho @ flipped).real
-    lam[np.abs(lam) < 1e-12] = 0.0
-    lam[lam < 0.0] = 0.0
-    return np.sqrt(np.sort(lam)[::-1])
-
-
 def concurrence(rho: DensityMatrix) -> float:
-    """Wootters concurrence of a two-qubit density matrix."""
+    """Wootters concurrence of a two-qubit density matrix.
+
+    With rho = X X^dagger for X = V sqrt(Lambda), the sqrt-eigenvalues of the
+    Wootters product are the singular values of X^T (sigma_y x sigma_y) X, the
+    rank-reduction identity of :mod:`qtangle._batched`. Only the spectrum of rho
+    is floored, relative to its largest eigenvalue, so a Wootters value near
+    1e-8 survives next to one of order 1.
+    """
     if rho.n_qubits != 2:
         raise StateError(f"concurrence needs 2 qubits, got {rho.n_qubits}")
-    lam = _wootters_sqrt_eigs(rho.matrix)
-    # The eigenvalue difference goes genuinely negative on separable states;
+    vals, vecs = np.linalg.eigh(rho.matrix)
+    x = vecs * np.sqrt(_clean_spectrum(vals))
+    lam = np.linalg.svd(x.T @ _YY @ x, compute_uv=False)
+    # The singular-value difference goes genuinely negative on separable states;
     # the measure is its positive part, so no noise-floor check here.
     return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
 

@@ -216,6 +216,16 @@ def trace_norm(matrix: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(mat))))
 
 
+def _clean_spectrum(vals: np.ndarray) -> np.ndarray:
+    """Zero the eigenvalues at or below 1e-12 of the largest.
+
+    Eigenvalue noise near zero turns into sqrt(eps)-sized garbage under the
+    square root, so it must be zeroed, not just clipped.
+    """
+    floor = 1e-12 * max(float(vals.max()), 0.0)
+    return np.where(vals > floor, vals, 0.0)
+
+
 def spectral_decomposition(rho: DensityMatrix, cutoff: float = RANK_CUTOFF) -> Spectrum:
     """Eigendecomposition restricted to eigenvalues above ``cutoff``.
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _batched, catalog, formulas, measures
 from .roof import Ensemble, PovmElement, RoofConfig, ensemble_from_isometry, measure_env_povm, roof_minimize
-from .states import DensityMatrix, StateVector, partial_trace, purify, spectral_decomposition
+from .states import DensityMatrix, StateVector, _clean_spectrum, partial_trace, purify, spectral_decomposition
 
 __all__ = ["CheckRow", "VerifyReport", "build_report"]
 
@@ -50,13 +50,6 @@ class VerifyReport:
 
 def _row(name: str, ok: bool, printed: float, direct: float, tol: float) -> CheckRow:
     return CheckRow(name, "pass" if ok else "fail", float(printed), float(direct), tol)
-
-
-def _clean_spectrum(vals: np.ndarray) -> np.ndarray:
-    # Relative floor: eigenvalue noise near zero turns into sqrt(eps)-sized
-    # garbage under the square root, so it must be zeroed, not just clipped.
-    floor = 1e-12 * max(float(vals.max()), 0.0)
-    return np.where(vals > floor, vals, 0.0)
 
 
 def _fidelity(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -6,6 +6,7 @@ and the pure-state measure oracles (one-tangle, CKW residual, e_ms) take the
 purity and the Wootters concurrence of explicit reduced density matrices,
 where the production kernels in ``qtangle._batched`` work on reshaped
 amplitudes and evaluate the three-tangle as a hyperdeterminant.
+``losu_tau3_roof`` is the exact GHZ/W three-tangle roof from the literature.
 The dense polish linearization rebuilds every finite-difference probe
 ensemble in full, as the sparse production path avoids doing.
 """
@@ -71,6 +72,28 @@ def e_ms_oracle(psi: StateVector) -> float:
         concurrence(partial_trace(psi, pair)) ** 2 for pair in combinations(range(n), 2)
     )
     return (tau_sum - 2.0 * c_sq_sum) / n
+
+
+def losu_tau3_roof(p: float) -> float:
+    """Exact three-tangle roof of p|GHZ><GHZ| + (1 - p)|W><W|.
+
+    Lohmayer, Osterloh, Siewert and Uhlmann, PRL 97, 260502 (2006): zero up to
+    4 2^(1/3) / (3 + 4 2^(1/3)) = 0.626851 (``formulas.p1``), then
+    g(p) = p^2 - (8 sqrt(6)/9) sqrt(p (1 - p)^3) up to
+    1/2 + 3 sqrt(465)/310 = 0.708683, then the straight line from there to (1, 1).
+    """
+    zero_end = 4.0 * 2.0 ** (1.0 / 3.0) / (3.0 + 4.0 * 2.0 ** (1.0 / 3.0))
+    line_start = 0.5 + 3.0 * np.sqrt(465.0) / 310.0
+
+    def g(q: float) -> float:
+        return q**2 - (8.0 * np.sqrt(6.0) / 9.0) * np.sqrt(q * (1.0 - q) ** 3)
+
+    if p <= zero_end:
+        return 0.0
+    if p <= line_start:
+        return g(p)
+    g1 = g(line_start)
+    return g1 + (1.0 - g1) * (p - line_start) / (1.0 - line_start)
 
 
 def projector(psi: StateVector) -> np.ndarray:
