@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import DensityMatrix, StateError, StateVector, partial_trace, tensor_product
+from .states import DensityMatrix, StateError, StateVector, partial_trace
 
 __all__ = [
     "ghz",

@@ -1,6 +1,7 @@
 """Closed-form expressions for the catalog families, with direct cross-checks.
 
-Each ``*_closed`` operation returns both the closed-form number and a direct
+This module holds closed forms only and runs no roof search. Each
+``*_closed`` operation returns both the closed-form number and a direct
 recomputation from state definitions. The two are never merged: when they
 disagree the result simply carries ``discrepancy_flag=True``, so the printed
 expressions stay auditable rather than silently corrected.
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 from . import catalog, measures
-from .roof import RoofConfig, roof_minimize
 from .states import StateError
 
 __all__ = [
@@ -99,21 +99,14 @@ def e_ms_psi4_closed(p: float) -> ClosedFormResult:
     return ClosedFormResult(printed, direct)
 
 
-def p1(config: RoofConfig | None = None) -> float:
+def p1() -> float:
     """Mixing weight where the roof three-tangle of the GHZ/W mixture turns on.
 
-    Bisects the first crossing of roof_minimize(rho_ghz_w(p), three_tangle)
-    above 1e-4, to an interval of width 1e-3.
+    Closed form 4*2^(1/3) / (3 + 4*2^(1/3)) of Lohmayer, Osterloh, Siewert and
+    Uhlmann, PRL 97, 260502 (2006).
     """
-    lo, hi = p0(), 1.0
-    while hi - lo > 1e-3:
-        mid = 0.5 * (lo + hi)
-        value = roof_minimize(catalog.rho_ghz_w(mid), "three_tangle", config).value
-        if value > 1e-4:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    cbrt2 = 2.0 ** (1.0 / 3.0)
+    return 4.0 * cbrt2 / (3.0 + 4.0 * cbrt2)
 
 
 def c_ab_sq_smolin(p: float) -> float:

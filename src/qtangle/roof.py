@@ -124,16 +124,19 @@ class RoofConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.restarts < 1:
-            raise StateError("restarts must be >= 1")
-        if self.max_ensemble_size is not None and self.max_ensemble_size < 1:
-            raise StateError("max_ensemble_size must be >= 1 when given")
+        counts = {"restarts": 1, "max_iterations": 0, "seed": 0}
+        if self.max_ensemble_size is not None:
+            counts["max_ensemble_size"] = 1
+        for name, least in counts.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise StateError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise StateError(f"{name} must be >= {least}, got {value!r}")
         if not (0.0 <= self.objective_tolerance < np.inf):
             raise StateError(
                 f"objective_tolerance must be finite and >= 0, got {self.objective_tolerance!r}"
             )
-        if self.max_iterations < 0:
-            raise StateError(f"max_iterations must be >= 0, got {self.max_iterations!r}")
 
 
 @dataclass(frozen=True)

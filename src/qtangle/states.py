@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -91,11 +91,6 @@ class StateVector:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    @classmethod
-    def from_amplitudes(cls, amplitudes: Sequence[complex] | np.ndarray) -> "StateVector":
-        amps = np.asarray(amplitudes, dtype=complex)
-        return cls(amps, _infer_n_qubits(amps.shape[0], "state vector"))
-
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
@@ -129,11 +124,6 @@ class DensityMatrix:
             raise StateError(f"eigenvalue {lowest!r} below {EIGENVALUE_FLOOR}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "DensityMatrix":
-        mat = np.asarray(matrix, dtype=complex)
-        return cls(mat, _infer_n_qubits(mat.shape[0], "density matrix"))
 
     @property
     def dim(self) -> int:
@@ -226,8 +216,8 @@ def _clean_spectrum(vals: np.ndarray) -> np.ndarray:
     return np.where(vals > floor, vals, 0.0)
 
 
-def spectral_decomposition(rho: DensityMatrix, cutoff: float = RANK_CUTOFF) -> Spectrum:
-    """Eigendecomposition restricted to eigenvalues above ``cutoff``.
+def spectral_decomposition(rho: DensityMatrix) -> Spectrum:
+    """Eigendecomposition restricted to eigenvalues above ``RANK_CUTOFF``.
 
     Eigenvalues come out descending. Each eigenvector's phase is fixed by making its
     largest-magnitude component real positive, so repeated calls (and different
@@ -236,7 +226,7 @@ def spectral_decomposition(rho: DensityMatrix, cutoff: float = RANK_CUTOFF) -> S
     vals, vecs = np.linalg.eigh(rho.matrix)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
-    rank = int(np.sum(vals > cutoff))
+    rank = int(np.sum(vals > RANK_CUTOFF))
     if rank == 0:
         raise StateError("state has no eigenvalue above the rank cutoff")
     vals, vecs = vals[:rank].copy(), vecs[:, :rank].copy()

@@ -6,7 +6,8 @@ and the pure-state measure oracles (one-tangle, CKW residual, e_ms) take the
 purity and the Wootters concurrence of explicit reduced density matrices,
 where the production kernels in ``qtangle._batched`` work on reshaped
 amplitudes and evaluate the three-tangle as a hyperdeterminant.
-``losu_tau3_roof`` is the exact GHZ/W three-tangle roof from the literature.
+``losu_tau3_roof`` and ``ghz_w_one_tangle_roof`` are the exact GHZ/W
+three-tangle and one-tangle roofs from the literature.
 The dense polish linearization rebuilds every finite-difference probe
 ensemble in full, as the sparse production path avoids doing.
 """
@@ -94,6 +95,16 @@ def losu_tau3_roof(p: float) -> float:
         return g(p)
     g1 = g(line_start)
     return g1 + (1.0 - g1) * (p - line_start) / (1.0 - line_start)
+
+
+def ghz_w_one_tangle_roof(p: float) -> float:
+    """Exact one-tangle roof of qubit A of p|GHZ><GHZ| + (1 - p)|W><W|.
+
+    (8 - 4p + 5p^2)/9 is the one-tangle of both members
+    sqrt(1 - p)|W> +- sqrt(p)|GHZ> of the +- ensemble, and that ensemble is
+    optimal because the state has rank 2 (T. J. Osborne, PRA 72, 022309 (2005)).
+    """
+    return (8.0 - 4.0 * p + 5.0 * p * p) / 9.0
 
 
 def projector(psi: StateVector) -> np.ndarray:

@@ -53,7 +53,7 @@ def test_criterion_6_wn_mixture_roof(report):
     row = report.row("criterion_6")
     assert row.status == "pass"
     assert abs(row.printed_value - 0.6) < 1e-15
-    assert abs(row.direct_value - 0.6) <= 1e-3
+    assert abs(row.direct_value - 0.6) <= 1e-9
 
 
 def test_criterion_7_purification_round_trips(report):
@@ -65,7 +65,7 @@ def test_criterion_7_purification_round_trips(report):
 def test_criterion_8_povm_reaches_the_roof(report):
     row = report.row("criterion_8")
     assert row.status == "pass"
-    assert row.direct_value <= 1e-3
+    assert row.direct_value <= 1e-9
 
 
 def test_criterion_9_exactly_three_ledgered(report):

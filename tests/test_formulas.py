@@ -12,6 +12,7 @@ from qtangle import (
     e_ms_psi6_closed,
     one_tangle,
     p0,
+    p1,
     partial_trace,
     phi_abd,
     rho_ghz_w,
@@ -25,6 +26,10 @@ from qtangle import (
 
 def test_p0_digits():
     assert abs(p0() - 0.2917960675006306) < 1e-15
+
+
+def test_p1_closed_form():
+    assert abs(p1() - 0.6268510148499474) < 1e-15
 
 
 def test_c_ab_sq_ghzw_landmarks():

@@ -23,7 +23,7 @@ from qtangle import (
 
 from qtangle.roof import _LockstepPolish, _resolve_measure
 
-from helpers import dense_linearize, losu_tau3_roof, random_density
+from helpers import dense_linearize, ghz_w_one_tangle_roof, losu_tau3_roof, random_density
 
 LIGHT = RoofConfig(restarts=4, max_iterations=100, seed=1)
 
@@ -78,7 +78,22 @@ def test_roof_config_validation():
             RoofConfig(objective_tolerance=tol)
     with pytest.raises(StateError):
         RoofConfig(max_iterations=-5)
+    # Counts must be integers (never bool) and the seed non-negative.
+    for bad in (
+        {"max_iterations": float("nan")},
+        {"max_iterations": 2.5},
+        {"seed": -1},
+        {"seed": True},
+        {"restarts": 2.5},
+        {"restarts": float("nan")},
+        {"restarts": np.True_},
+        {"max_ensemble_size": float("nan")},
+        {"max_ensemble_size": False},
+    ):
+        with pytest.raises(StateError):
+            RoofConfig(**bad)
     RoofConfig(objective_tolerance=0.0, max_iterations=0)
+    RoofConfig(restarts=np.int64(3), max_ensemble_size=np.int32(4), seed=np.uint8(7))
 
 
 def test_ensemble_from_identity_isometry_is_spectral():
@@ -153,6 +168,13 @@ def test_roof_matches_losu_exact_roof():
     for p in [*np.linspace(0.0, 1.0, 11), 0.62]:
         value = roof_minimize(rho_ghz_w(float(p)), "three_tangle").value
         assert -1e-12 <= value - losu_tau3_roof(float(p)) <= 2e-8, p
+
+
+def test_roof_matches_exact_ghz_w_one_tangle_roof():
+    # The fig1 one-tangle column against Osborne's exact rank-2 roof.
+    for p in np.linspace(0.0, 1.0, 11):
+        value = roof_minimize(rho_ghz_w(float(p)), "one_tangle", partition=(0,)).value
+        assert -1e-12 <= value - ghz_w_one_tangle_roof(float(p)) <= 1e-9, p
 
 
 def test_roof_reaches_zero_on_light_degenerate_cluster():
