@@ -7,11 +7,18 @@ run, and the scalar measures in :mod:`qtangle.measures` call them on one row.
 Tests pin them against independent oracles that live in ``tests/helpers.py``.
 
 Pairwise concurrences use a rank-reduction identity instead of the 4x4
-eigenproblem: for a pure state with pair reshape M of shape (4, E), the
-sqrt-eigenvalues of the Wootters product equal the singular values of
-S = M^T (sigma_y x sigma_y) M, which is at most rank 4 and only E x E. For
-E = 2 the two singular values come from Frobenius norm and determinant alone,
-so three-qubit batches need no LAPACK at all.
+eigenproblem: for a pure state with pair reshape M of shape (4, E),
+E = 2^(n-2), the sqrt-eigenvalues of the Wootters product equal the singular
+values of S = M^T (sigma_y x sigma_y) M, which has rank at most 4. There are
+three branches:
+
+- E = 2 (three qubits): the two singular values come from the Frobenius norm
+  and the determinant of S alone, so these batches need no LAPACK at all;
+- E = 4 (four qubits): a batched SVD of the 4x4 S;
+- E > 4 (five qubits or more): an R-only QR of M^H = Q R first. S then has
+  the singular values of the 4x4 R^* YY R^H, which goes through the same SVD,
+  and the (E, E) matrix is never built. Stacked ``qr(mode="r")`` needs
+  NumPy >= 1.22, which the declared floor of 1.24 covers.
 """
 
 from __future__ import annotations
@@ -35,11 +42,19 @@ def one_tangle_batch(states: np.ndarray, n: int, subset: tuple[int, ...]) -> np.
 
 
 def _pair_spin_flip_matrix(states: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
-    """S = M^T (sigma_y x sigma_y) M with the (i, j) pair axes moved to the front."""
+    """S = M^T (sigma_y x sigma_y) M with the (i, j) pair axes moved to the front.
+
+    The result is (K, E, E) for E = 2 and E = 4. For E > 4 the pair matrix is
+    first compressed: with M^H = Q R, S = conj(Q) (R^* YY R^H) Q^H has the
+    singular values of R^* YY R^H, so M is replaced by the 4x4 R^H and the
+    result is (K, 4, 4). The (E, E) matrix is never formed.
+    """
     k = states.shape[0]
     t = states.reshape((k,) + (2,) * n)
     rest = [1 + q for q in range(n) if q not in (i, j)]
     m = np.moveaxis(t, [1 + i, 1 + j] + rest, range(1, n + 1)).reshape(k, 4, -1)
+    if m.shape[2] > 4:
+        m = np.linalg.qr(m.conj().transpose(0, 2, 1), mode="r").conj().transpose(0, 2, 1)
     return m.transpose(0, 2, 1) @ (_YY @ m)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import DensityMatrix, StateError, StateVector, partial_trace
+from .states import DensityMatrix, StateError, StateVector, is_integer, partial_trace
 
 __all__ = [
     "ghz",
@@ -35,6 +35,8 @@ def _check_range(name: str, value: float, lo: float, hi: float) -> float:
 
 
 def _check_n(n: int, lo: int, hi: int) -> int:
+    if not is_integer(n):
+        raise StateError(f"n must be an integer, got {n!r}")
     n = int(n)
     if not (lo <= n <= hi):
         raise StateError(f"n={n} outside supported range [{lo}, {hi}]")
@@ -66,10 +68,9 @@ _BELL_SUPPORT = {0: (0, 3, 1.0), 1: (0, 3, -1.0), 2: (1, 2, 1.0), 3: (1, 2, -1.0
 
 def bell(index: int) -> StateVector:
     """One of the four Bell pairs; see the module-level index convention."""
-    try:
-        i, j, sign = _BELL_SUPPORT[int(index)]
-    except KeyError:
-        raise StateError(f"bell index must be 0..3, got {index!r}") from None
+    if not is_integer(index) or int(index) not in _BELL_SUPPORT:
+        raise StateError(f"bell index must be an integer in 0..3, got {index!r}")
+    i, j, sign = _BELL_SUPPORT[int(index)]
     amps = np.zeros(4, dtype=complex)
     amps[i] = 1.0 / np.sqrt(2.0)
     amps[j] = sign / np.sqrt(2.0)
@@ -85,15 +86,15 @@ def rho_ghz_w(p: float) -> DensityMatrix:
     return DensityMatrix(mat, 3)
 
 
+# The two blocks |W>|0> and |GHZ>|1> of psi4, built once.
+_W3_0 = np.kron(w(3).amplitudes, np.array([1.0, 0.0], dtype=complex))
+_GHZ3_1 = np.kron(ghz(3).amplitudes, np.array([0.0, 1.0], dtype=complex))
+
+
 def psi4(p: float) -> StateVector:
     """Four-qubit purification sqrt(1-p)|W>|0> + sqrt(p)|GHZ>|1>, qubit order A,B,C,D."""
     p = _check_range("p", p, 0.0, 1.0)
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    e1 = np.array([0.0, 1.0], dtype=complex)
-    amps = np.sqrt(1.0 - p) * np.kron(w(3).amplitudes, e0) + np.sqrt(p) * np.kron(
-        ghz(3).amplitudes, e1
-    )
-    return StateVector(amps, 4)
+    return StateVector(np.sqrt(1.0 - p) * _W3_0 + np.sqrt(p) * _GHZ3_1, 4)
 
 
 def abd_components(p: float) -> tuple[float, StateVector, StateVector]:

@@ -30,6 +30,7 @@ from .states import (
     StateError,
     StateVector,
     check_subset,
+    is_integer,
     partial_trace,
     spectral_decomposition,
 )
@@ -129,7 +130,7 @@ class RoofConfig:
             counts["max_ensemble_size"] = 1
         for name, least in counts.items():
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not is_integer(value):
                 raise StateError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise StateError(f"{name} must be >= {least}, got {value!r}")

@@ -46,6 +46,11 @@ def _infer_n_qubits(dim: int, what: str) -> int:
     return n
 
 
+def is_integer(value) -> bool:
+    """True for Python and NumPy integers; a bool is never a count or an index."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_subset(
     indices: Iterable[int],
     n_qubits: int,
@@ -53,7 +58,10 @@ def check_subset(
     allow_full: bool = True,
 ) -> tuple[int, ...]:
     """Validate a strictly increasing qubit subset and return it as a tuple."""
-    subset = tuple(int(q) for q in indices)
+    subset = tuple(indices)
+    if not all(is_integer(q) for q in subset):
+        raise StateError(f"qubit subset {subset} must hold integers")
+    subset = tuple(int(q) for q in subset)
     if any(subset[i] >= subset[i + 1] for i in range(len(subset) - 1)):
         raise StateError(f"qubit subset {subset} must be strictly increasing")
     if subset and (subset[0] < 0 or subset[-1] >= n_qubits):

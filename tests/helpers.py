@@ -10,13 +10,15 @@ amplitudes and evaluate the three-tangle as a hyperdeterminant.
 three-tangle and one-tangle roofs from the literature.
 The dense polish linearization rebuilds every finite-difference probe
 ensemble in full, as the sparse production path avoids doing.
+``psi4_kron_oracle`` builds psi4 from two Kronecker products on every call,
+where ``catalog.psi4`` reuses two constant blocks.
 """
 
 from itertools import combinations
 
 import numpy as np
 
-from qtangle import DensityMatrix, StateVector, concurrence, partial_trace
+from qtangle import DensityMatrix, StateVector, concurrence, ghz, partial_trace, w
 from qtangle.roof import _cayley, _contributions, _generator_directions
 from qtangle.verification import _random_pure
 
@@ -105,6 +107,15 @@ def ghz_w_one_tangle_roof(p: float) -> float:
     optimal because the state has rank 2 (T. J. Osborne, PRA 72, 022309 (2005)).
     """
     return (8.0 - 4.0 * p + 5.0 * p * p) / 9.0
+
+
+def psi4_kron_oracle(p: float) -> np.ndarray:
+    """Amplitudes sqrt(1 - p) |W>|0> + sqrt(p) |GHZ>|1> from two fresh krons."""
+    e0 = np.array([1.0, 0.0], dtype=complex)
+    e1 = np.array([0.0, 1.0], dtype=complex)
+    return np.sqrt(1.0 - p) * np.kron(w(3).amplitudes, e0) + np.sqrt(p) * np.kron(
+        ghz(3).amplitudes, e1
+    )
 
 
 def projector(psi: StateVector) -> np.ndarray:

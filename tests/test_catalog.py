@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qtangle import (
     StateError,
@@ -18,7 +20,9 @@ from qtangle import (
     w,
 )
 
-from helpers import projector
+from qtangle.states import check_subset
+
+from helpers import projector, psi4_kron_oracle
 
 
 def test_ghz_amplitudes():
@@ -43,8 +47,10 @@ def test_bell_convention():
     np.testing.assert_allclose(
         bell(3).amplitudes, np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0), atol=1e-15
     )
-    with pytest.raises(StateError):
-        bell(4)
+    np.testing.assert_array_equal(bell(np.int64(3)).amplitudes, bell(3).amplitudes)
+    for index in (4, -1, 2.5, 2.0, True, "1", None):
+        with pytest.raises(StateError):
+            bell(index)
 
 
 def test_rho_ghz_w_is_advertised_mixture():
@@ -52,6 +58,11 @@ def test_rho_ghz_w_is_advertised_mixture():
         rho = rho_ghz_w(p)
         expect = p * projector(ghz(3)) + (1.0 - p) * projector(w(3))
         np.testing.assert_allclose(rho.matrix, expect, atol=1e-14)
+
+
+def test_psi4_matches_kron_formula_bit_for_bit():
+    for p in np.linspace(0.0, 1.0, 1001):
+        assert np.array_equal(psi4(float(p)).amplitudes, psi4_kron_oracle(float(p)))
 
 
 def test_psi4_purifies_rho_ghz_w():
@@ -136,3 +147,33 @@ def test_domain_errors():
         rho_wn_mix(10, 0.5)
     with pytest.raises(StateError):
         phi_abd(1.5, 0.5, 0.0)
+    # Non-integer qubit counts are refused, not truncated.
+    for bad in (3.7, 3.0, np.float64(4.0), True, "3", None):
+        with pytest.raises(StateError):
+            ghz(bad)
+        with pytest.raises(StateError):
+            w(bad)
+    with pytest.raises(StateError):
+        rho_wn_mix(3.9, 0.5)
+    with pytest.raises(StateError):
+        psi_n1(2.2, 0.3)
+    assert ghz(np.int32(3)).n_qubits == 3
+    assert psi_n1(np.int64(3), 0.5).n_qubits == 4
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_ANY_FLOAT)
+@example(3.0)
+@example(0.0)
+@example(1.0)
+def test_float_counts_and_indices_are_refused(value):
+    for build in (ghz, w, lambda n: rho_wn_mix(n, 0.5), lambda n: psi_n1(n, 0.5), bell):
+        with pytest.raises(StateError):
+            build(value)
+    with pytest.raises(StateError):
+        check_subset((value,), 3)
+    with pytest.raises(StateError):
+        check_subset((0, value), 3)

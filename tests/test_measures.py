@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -20,7 +22,13 @@ from qtangle import (
     three_tangle_pure,
     w,
 )
-from qtangle._batched import concurrence_sq_batch, e_ms_batch, one_tangle_batch, three_tangle_batch
+from qtangle._batched import (
+    _pair_spin_flip_matrix,
+    concurrence_sq_batch,
+    e_ms_batch,
+    one_tangle_batch,
+    three_tangle_batch,
+)
 from qtangle.verification import _haar_unitary
 
 from helpers import (
@@ -187,14 +195,23 @@ def test_batched_kernels_match_oracles():
         assert abs(batch_tau[i] - one_tangle_oracle(psi, (0,))) < 1e-10
         assert abs(batch_t3[i] - ckw_residual_oracle(psi)) < 1e-10
         assert abs(batch_ems3[i] - e_ms_oracle(psi)) < 1e-10
-    pure4 = _stack(rng, 4, 20)
-    batch_ems4 = e_ms_batch(pure4, 4)
-    for i, amps in enumerate(pure4):
-        assert abs(batch_ems4[i] - e_ms_oracle(StateVector(amps, 4))) < 1e-10
+    for n, count in ((4, 20), (5, 10), (6, 5)):
+        pure = _stack(rng, n, count)
+        batch_ems = e_ms_batch(pure, n)
+        for i, amps in enumerate(pure):
+            assert abs(batch_ems[i] - e_ms_oracle(StateVector(amps, n))) < 1e-10
+
+
+def _product_state(rng: np.random.Generator, n: int) -> np.ndarray:
+    amps = np.ones(1, dtype=complex)
+    for _ in range(n):
+        amps = np.kron(amps, random_state(rng, 1).amplitudes)
+    return amps
 
 
 def test_batched_concurrence_matches_scalar():
-    # Both pair-matrix branches: E = 2 (three qubits) and the SVD path (four).
+    # All three pair-matrix branches: E = 2 (three qubits), the 4x4 SVD (four)
+    # and the QR compression to 4x4 (five and six).
     rng = np.random.default_rng(61)
     for n in (3, 4):
         states = _stack(rng, n, 30)
@@ -203,3 +220,28 @@ def test_batched_concurrence_matches_scalar():
             for k, amps in enumerate(states):
                 reduced = partial_trace(StateVector(amps, n), (i, j))
                 assert abs(batch[k] - concurrence(reduced) ** 2) < 1e-10
+    for n in (5, 6):
+        states = _stack(rng, n, 20)
+        for i, j in ((0, 1), (1, n - 1), (2, 4)):
+            batch = concurrence_sq_batch(states, n, i, j)
+            for k, amps in enumerate(states):
+                reduced = partial_trace(StateVector(amps, n), (i, j)).matrix
+                assert abs(batch[k] - concurrence_oracle(reduced) ** 2) < 1e-10
+    # Pair matrices of rank below 4 put the QR compression at its edge.
+    special = [ghz(5), w(5), StateVector(_product_state(rng, 5), 5)]
+    special += [ghz(6), w(6), StateVector(_product_state(rng, 6), 6)]
+    special += [psi6(p) for p in (0.0, 2.0 / 3.0, 1.0)]
+    for psi in special:
+        n = psi.n_qubits
+        for i, j in combinations(range(n), 2):
+            c_sq = concurrence_sq_batch(psi.amplitudes[None], n, i, j)[0]
+            reduced = partial_trace(psi, (i, j)).matrix
+            assert abs(c_sq - concurrence_oracle(reduced) ** 2) < 1e-10
+
+
+def test_pair_spin_flip_matrix_is_4x4_beyond_four_qubits():
+    rng = np.random.default_rng(71)
+    for n in (5, 6):
+        states = _stack(rng, n, 3)
+        assert _pair_spin_flip_matrix(states, n, 0, 1).shape == (3, 4, 4)
+        assert _pair_spin_flip_matrix(states, n, 2, n - 1).shape == (3, 4, 4)

@@ -75,6 +75,12 @@ def test_check_subset_rules():
         check_subset((), 3)
     with pytest.raises(StateError):
         check_subset((0, 1, 2), 3, allow_full=False)
+    # Entries must be integers: no float, integral or not, and no bool.
+    for bad in ((0.7,), (1.9,), (0, 2.0), (True,), (0, np.float64(1.0)), ("1",)):
+        with pytest.raises(StateError):
+            check_subset(bad, 3)
+    assert check_subset(np.array([0, 2]), 3) == (0, 2)
+    assert all(type(q) is int for q in check_subset((np.int64(1),), 3))
 
 
 def test_partial_trace_pure_and_mixed_agree():
