@@ -6,10 +6,11 @@ Stiefel manifold. The optimizer has two phases and runs seeded random
 restarts in lockstep: each restart draws an isometry, then a batched
 Levenberg-Marquardt polish of the member-mixing unitary (Cayley-parameterized,
 residuals sqrt(p_i * measure_i)) takes it down, to 1e-8 and below on states
-whose optimal ensembles sit in narrow curved valleys. Its finite-difference
-Jacobian evaluates only the member columns a probe changes (one per diagonal
-generator, two per off-diagonal one), so each step is one kernel call of 2m^2
-rows per restart, and a rejected step keeps the Jacobian it already has.
+whose optimal ensembles sit in narrow curved valleys. Each step first prices
+the candidates, one kernel call of m rows per restart, and then linearizes only
+the accepted ones: a second call evaluates the 2m^2 - m member columns their
+finite-difference probes change (one per diagonal generator, two per
+off-diagonal one). A rejected step keeps the Jacobian it already has.
 
 Restart draws alternate between Haar isometries and, when the spectrum has a
 degenerate cluster, block-diagonal draws that keep each cluster's members inside
@@ -62,6 +63,8 @@ class Ensemble:
         if not self.members:
             raise StateError("ensemble needs at least one member")
         probs = np.array([p for p, _ in self.members])
+        if not np.all(np.isfinite(probs)):
+            raise StateError(f"ensemble probabilities must be finite, got {probs!r}")
         if np.any(probs <= 0.0):
             raise StateError("ensemble probabilities must be positive")
         if abs(float(probs.sum()) - 1.0) > PROB_SUM_ATOL:
@@ -308,10 +311,14 @@ class _LockstepPolish:
     are fixed and shared across restarts and iterations. A probe
     cayley(STEP * dir) differs from the identity in one column for a diagonal
     generator and in two for an off-diagonal one; every other member comes out
-    as an exact copy whose Jacobian entry is exactly zero. So ``linearize``
-    evaluates only the m current members and the 2m^2 - m probed ones, 2m^2
-    rows per restart in one kernel call. A rejected step leaves the columns
-    untouched, so its residuals and Jacobian stay exact and are kept.
+    as an exact copy whose Jacobian entry is exactly zero. So ``jacobian``
+    evaluates only the 2m^2 - m probed members and differences them against
+    residuals already priced. ``iterate`` prices the m candidate members of
+    every restart in one kernel call and linearizes only the accepted
+    candidates, in a second call that it skips when none is accepted. A
+    rejected step leaves the columns untouched, so its residuals and Jacobian
+    stay exact and are kept. Each row of a kernel call is computed on its own,
+    so the split changes no value.
 
     STEP is small because the three-tangle residual sqrt(4|D(w)|)/|w| has a
     cusp at every zero of the hyperdeterminant D. Near a zero-valued roof the
@@ -327,30 +334,34 @@ class _LockstepPolish:
         self.m = m
         self.n_params = m * m
         self.dirs = _generator_directions(m)
-        eye = np.eye(m, dtype=complex)
         probes = _cayley(self.STEP * self.dirs)
         # (parameter, column) of every probed member, parameter-major.
-        self.probed_param, self.probed_col = np.nonzero(np.any(probes != eye, axis=1))
-        self.columns = np.concatenate(
-            [eye, probes[self.probed_param, :, self.probed_col].T], axis=1
-        )  # (m, m + Q)
+        self.probed_param, self.probed_col = np.nonzero(
+            np.any(probes != np.eye(m, dtype=complex), axis=1)
+        )
+        self.columns = probes[self.probed_param, :, self.probed_col].T  # (m, 2m^2 - m)
         self.eye_p = np.eye(self.n_params)
 
     def linearize(
         self, w: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Contributions (R, m), residuals (R, m) and Jacobian (P, R, m) at w."""
-        m = self.m
+        contrib = _contributions(w, fn)
+        res = np.sqrt(np.maximum(contrib, 0.0))
+        return contrib, res, self.jacobian(w, res, fn)
+
+    def jacobian(
+        self, w: np.ndarray, res: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]
+    ) -> np.ndarray:
+        """Jacobian (P, R, m) at w, differenced against its residuals res (R, m)."""
         # einsum, not matmul: a BLAS product may fuse the multiply-adds and
         # round the probed members differently from the finite-difference form.
-        contrib = _contributions(np.einsum("rdm,mn->rdn", w, self.columns), fn)
-        res = np.sqrt(np.maximum(contrib, 0.0))
-        base = np.ascontiguousarray(res[:, :m])
-        jac = np.zeros((self.n_params, w.shape[0], m))
+        probed = _contributions(np.einsum("rdm,mn->rdn", w, self.columns), fn)
+        jac = np.zeros((self.n_params, w.shape[0], self.m))
         jac[self.probed_param, :, self.probed_col] = (
-            (res[:, m:] - base[:, self.probed_col]) / self.STEP
+            (np.sqrt(np.maximum(probed, 0.0)) - res[:, self.probed_col]) / self.STEP
         ).T
-        return contrib[:, :m], base, jac
+        return jac
 
     def iterate(
         self,
@@ -374,7 +385,7 @@ class _LockstepPolish:
         # its real and in its imaginary part, so the result is exact.
         gen = (delta @ self.dirs.reshape(self.n_params, -1)).reshape(-1, self.m, self.m)
         candidates = np.einsum("rdm,rmn->rdn", w, _cayley(gen))
-        cand_contrib, cand_res, cand_jac = self.linearize(candidates, fn)
+        cand_contrib = _contributions(candidates, fn)
         cand_cost = np.maximum(cand_contrib, 0.0).sum(axis=1)
         # Accept only meaningful drops; float-dust improvements would otherwise
         # keep a stalled restart alive indefinitely.
@@ -383,8 +394,10 @@ class _LockstepPolish:
         cost = np.where(accept, cand_cost, cost)
         damping = np.where(accept, damping * 0.35, damping * 5.0)
         damping = np.clip(damping, 1e-13, 1e8)
-        res = np.where(accept[:, None], cand_res, res)
-        jac = np.where(accept[None, :, None], cand_jac, jac)
+        res = np.where(accept[:, None], np.sqrt(np.maximum(cand_contrib, 0.0)), res)
+        if accept.any():
+            jac = jac.copy()
+            jac[:, accept] = self.jacobian(candidates[accept], res[accept], fn)
         return w, cost, damping, accept, res, jac
 
 

@@ -51,6 +51,11 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_count(n_qubits) -> None:
+    if not is_integer(n_qubits):
+        raise StateError(f"n_qubits must be an integer, got {n_qubits!r}")
+
+
 def check_subset(
     indices: Iterable[int],
     n_qubits: int,
@@ -85,6 +90,7 @@ class StateVector:
     n_qubits: int
 
     def __post_init__(self) -> None:
+        _check_count(self.n_qubits)
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.ndim != 1:
             raise StateError("amplitudes must be a 1-D array")
@@ -116,6 +122,7 @@ class DensityMatrix:
     n_qubits: int
 
     def __post_init__(self) -> None:
+        _check_count(self.n_qubits)
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise StateError("density matrix must be square")

@@ -7,7 +7,8 @@ purity and the Wootters concurrence of explicit reduced density matrices,
 where the production kernels in ``qtangle._batched`` work on reshaped
 amplitudes and evaluate the three-tangle as a hyperdeterminant.
 ``losu_tau3_roof`` and ``ghz_w_one_tangle_roof`` are the exact GHZ/W
-three-tangle and one-tangle roofs from the literature.
+three-tangle and one-tangle roofs from the literature, and
+``rank2_one_tangle_roof`` is Osborne's exact one-tangle roof of any rank-2 state.
 The dense polish linearization rebuilds every finite-difference probe
 ensemble in full, as the sparse production path avoids doing.
 ``psi4_kron_oracle`` builds psi4 from two Kronecker products on every call,
@@ -107,6 +108,38 @@ def ghz_w_one_tangle_roof(p: float) -> float:
     optimal because the state has rank 2 (T. J. Osborne, PRA 72, 022309 (2005)).
     """
     return (8.0 - 4.0 * p + 5.0 * p * p) / 9.0
+
+
+def rank2_one_tangle_roof(rho: DensityMatrix, qubit: int) -> float:
+    """Exact one-tangle roof of qubit ``qubit`` for a rank-2 state.
+
+    T. J. Osborne, PRA 72, 022309 (2005). A pure state in the range of rho has
+    a Bloch vector n in the eigenbasis {e0, e1}, and its reduction to the qubit
+    is sum_k x_k A_k with x = (1, n), so its one-tangle 2(1 - tr rho_q^2) is the
+    quadratic form x^T M x on the sphere |n| = 1. Adding t(1 - |n|^2) changes
+    nothing there; with t the least eigenvalue of M[1:, 1:] the form becomes
+    convex and flat along that eigenvector. It is then a convex function that
+    equals the tangle on the sphere, so no ensemble averages below its value at
+    the Bloch vector r of rho, and the two members where the flat line through
+    r meets the sphere attain it.
+    """
+    _, vecs = np.linalg.eigh(rho.matrix)
+    basis = vecs[:, -2:]  # the range
+    n = rho.n_qubits
+    # T[i] is e_i as a (qubit, rest) matrix, so rho_q = sum c_i conj(c_j) T_i T_j^H.
+    t_mats = np.moveaxis(basis.T.reshape([2] * (n + 1)), qubit + 1, 1).reshape(2, 2, -1)
+    paulis = np.array(
+        [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
+    )
+    # |psi><psi| = (x_k sigma_k) / 2 in the range basis.
+    a_ops = 0.5 * np.einsum("kij,iac,jbc->kab", paulis, t_mats, t_mats.conj())
+    gram = np.einsum("jab,kba->jk", a_ops, a_ops).real
+    form = -2.0 * gram
+    form[0, 0] += 2.0
+    compressed = basis.conj().T @ rho.matrix @ basis
+    x_r = np.einsum("kij,ji->k", paulis, compressed).real  # (tr C, r)
+    t = float(np.linalg.eigvalsh(form[1:, 1:])[0])
+    return float(x_r @ form @ x_r + t * (1.0 - x_r[1:] @ x_r[1:]))
 
 
 def psi4_kron_oracle(p: float) -> np.ndarray:

@@ -15,15 +15,24 @@ from qtangle import (
     psi4,
     rho_abd,
     rho_ghz_w,
+    rho_wn_mix,
     roof_minimize,
     smolin,
     three_tangle_pure,
     w,
 )
 
+from qtangle.formulas import tau_a1_formula
 from qtangle.roof import _LockstepPolish, _resolve_measure
+from qtangle.sweep import SweepSpec, run_sweep
 
-from helpers import dense_linearize, ghz_w_one_tangle_roof, losu_tau3_roof, random_density
+from helpers import (
+    dense_linearize,
+    ghz_w_one_tangle_roof,
+    losu_tau3_roof,
+    random_density,
+    rank2_one_tangle_roof,
+)
 
 LIGHT = RoofConfig(restarts=4, max_iterations=100, seed=1)
 
@@ -36,6 +45,15 @@ def test_ensemble_validation():
         Ensemble(((0.6, g), (0.3, w(3))))  # sums to 0.9
     with pytest.raises(StateError):
         Ensemble(((1.2, g), (-0.2, w(3))))
+    # NaN fails every comparison, so it must be refused explicitly.
+    for members in (
+        ((float("nan"), g), (1.0, g)),
+        ((float("nan"), g),),
+        ((np.nan, g), (0.5, w(3)), (0.5, w(3))),
+        ((float("inf"), g), (-float("inf"), w(3))),
+    ):
+        with pytest.raises(StateError, match="finite"):
+            Ensemble(members)
 
 
 def test_ensemble_mixture_and_average():
@@ -177,6 +195,24 @@ def test_roof_matches_exact_ghz_w_one_tangle_roof():
         assert -1e-12 <= value - ghz_w_one_tangle_roof(float(p)) <= 1e-9, p
 
 
+def test_rank2_one_tangle_oracle_reproduces_exact_references():
+    for p in np.linspace(0.0, 1.0, 101):
+        exact = ghz_w_one_tangle_roof(float(p))
+        assert abs(rank2_one_tangle_roof(rho_ghz_w(float(p)), 0) - exact) < 1e-12, p
+    for n in (3, 4, 5):
+        value = rank2_one_tangle_roof(rho_wn_mix(n, 1.0 / (n + 1)), 0)
+        assert abs(value - tau_a1_formula(n)) < 1e-12, n
+
+
+def test_wn_mix_one_tangle_column_matches_rank2_roof():
+    # The wn_mix sweep column at the default config against Osborne's roof.
+    spec = SweepSpec("wn_mix", 0.0, 1.0, 11, ("one_tangle_roof_A1",), RoofConfig())
+    _, rows = run_sweep(spec)
+    for alpha, value in rows:
+        exact = rank2_one_tangle_roof(rho_wn_mix(3, alpha), 0)
+        assert -1e-12 <= value - exact <= 1e-9, alpha
+
+
 def test_roof_reaches_zero_on_light_degenerate_cluster():
     # smolin(0.01) has eigenvalues 0.9925 and 3 x 0.0025, and every Bell-pair
     # product member has zero e_ms. A fresh draw can need six straight
@@ -222,7 +258,7 @@ def test_polish_linearize_matches_dense_probes(measure, n, m):
 
 
 @pytest.mark.parametrize("m", [4, 8])
-def test_polish_iterate_makes_one_kernel_call(m):
+def test_polish_iterate_prices_then_linearizes_accepted(m):
     rng = np.random.default_rng(101)
     kernel = _resolve_measure("three_tangle", 3, (0,))
     calls = []
@@ -236,16 +272,36 @@ def test_polish_iterate_makes_one_kernel_call(m):
     w = _random_columns(rng, restarts, 8, m) / 4.0
     contrib, res, jac = polish.linearize(w, fn)
     cost = np.maximum(contrib, 0.0).sum(axis=1)
+    inputs = (w, cost, np.full(restarts, 1e-2), res, jac)
+    before = [a.copy() for a in inputs]
+
     calls.clear()
-    out = polish.iterate(w, cost, np.full(restarts, 1e-2), res, jac, fn)
-    assert calls == [2 * m * m * restarts]
+    out = polish.iterate(*inputs, fn)
     w_new, _, _, accept, res_new, jac_new = out
     assert accept.any() and not accept.all()
+    # One pricing call on the candidate members, then the probed members of
+    # the accepted candidates only.
+    assert calls == [m * restarts, (2 * m * m - m) * int(accept.sum())]
+    for a, b in zip(inputs, before):
+        assert np.array_equal(a, b)
     # Accepted restarts carry the candidate's exact linearization; rejected
     # ones keep the old one, which is still exact because w did not move.
     _, fresh_res, fresh_jac = polish.linearize(w_new, kernel)
     assert np.array_equal(res_new, fresh_res)
     assert np.array_equal(jac_new, fresh_jac)
+
+    # Damping 1e8 alone still gives drops near 1e-7, far above the acceptance
+    # threshold; with the Jacobian's sign flipped every short step goes uphill.
+    # Every candidate is priced and none is linearized.
+    calls.clear()
+    w_new, _, _, accept, res_new, jac_new = polish.iterate(
+        w, cost, np.full(restarts, 1e8), res, -jac, fn
+    )
+    assert not accept.any()
+    assert calls == [m * restarts]
+    assert np.array_equal(w_new, w)
+    assert np.array_equal(res_new, res)
+    assert np.array_equal(jac_new, -jac)
 
 
 def test_roof_rank_above_cap_rejected():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qtangle import (
     DensityMatrix,
     StateError,
     StateVector,
+    ghz,
     partial_trace,
     partial_transpose,
     purify,
@@ -51,6 +54,32 @@ def test_density_matrix_validation():
     neg = np.diag([0.75, 0.75, -0.25, -0.25]).astype(complex)
     with pytest.raises(StateError):
         DensityMatrix(neg, 2)  # negative eigenvalue
+
+
+_NON_INTEGER_COUNTS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.booleans())
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_NON_INTEGER_COUNTS)
+@example(3.0)
+@example(np.float64(3.0))
+@example(1.0)
+@example(True)
+@example(np.True_)
+def test_float_and_bool_qubit_counts_are_refused(value):
+    # A stored float count crashes later (partial_trace, one_tangle); the
+    # containers refuse it, even where it equals the inferred count.
+    for psi in (StateVector(np.array([1.0, 0.0]), 1), ghz(3)):
+        with pytest.raises(StateError, match="integer"):
+            StateVector(psi.amplitudes, value)
+        with pytest.raises(StateError, match="integer"):
+            DensityMatrix(psi.density().matrix, value)
+
+
+def test_numpy_integer_qubit_counts_are_accepted():
+    amps = ghz(3).amplitudes
+    assert StateVector(amps, np.int64(3)).n_qubits == 3
+    assert DensityMatrix(np.outer(amps, amps.conj()), np.int32(3)).n_qubits == 3
 
 
 def test_tensor_product_shapes_and_kind():
