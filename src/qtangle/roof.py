@@ -10,7 +10,9 @@ whose optimal ensembles sit in narrow curved valleys. Each step first prices
 the candidates, one kernel call of m rows per restart, and then linearizes only
 the accepted ones: a second call evaluates the 2m^2 - m member columns their
 finite-difference probes change (one per diagonal generator, two per
-off-diagonal one). A rejected step keeps the Jacobian it already has.
+off-diagonal one). A rejected step keeps the Jacobian it already has. A
+restart retires after 7 straight rejections, or when even its recent pace over
+the remaining budget would leave it more than the tolerance above the best.
 
 Restart draws alternate between Haar isometries and, when the spectrum has a
 degenerate cluster, block-diagonal draws that keep each cluster's members inside
@@ -118,7 +120,9 @@ class RoofConfig:
 
     ``max_ensemble_size`` of None resolves per state to min(2*rank, 8).
     ``max_iterations`` caps refinement effort per run: it counts
-    Levenberg-Marquardt polish steps.
+    Levenberg-Marquardt polish steps. It is also the horizon of the pace
+    rule, which retires a restart that could not come within
+    ``objective_tolerance`` of the running best in the steps left.
     """
 
     restarts: int = 32
@@ -137,10 +141,11 @@ class RoofConfig:
                 raise StateError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise StateError(f"{name} must be >= {least}, got {value!r}")
-        if not (0.0 <= self.objective_tolerance < np.inf):
-            raise StateError(
-                f"objective_tolerance must be finite and >= 0, got {self.objective_tolerance!r}"
-            )
+        tol = self.objective_tolerance
+        if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
+            raise StateError(f"objective_tolerance must be a real number, got {tol!r}")
+        if not (0.0 <= tol < np.inf):
+            raise StateError(f"objective_tolerance must be finite and >= 0, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -459,11 +464,20 @@ def roof_minimize(
         done = (cost[idx] <= cfg.objective_tolerance) | (streak[idx] >= 7)
         active[idx[done]] = False
         if iterations % 8 == 0:
-            # Also retire restarts stuck well above the running best: crawling
-            # local minima that will not overtake it.
-            floor = 10.0 * max(float(cost.min()), cfg.objective_tolerance)
-            stuck = active & (cost > floor) & (cost > 0.9 * snapshot)
-            active &= ~stuck
+            # Retire restarts that cannot catch the running best: even at
+            # their pace over the last 8 steps for the whole remaining
+            # budget, they would end more than the tolerance above it. The
+            # leader always passes. Pace only extrapolates, and a restart on
+            # a plateau can escape it later, so the margin is the tolerance
+            # the roof is judged by, not a multiple of the best. A floor of
+            # 10x the best never fires on a nonzero roof: once the best
+            # passes 0.1 it lies above every cost, and losing restarts crawl
+            # at the damping clip for the whole budget. On a zero roof the
+            # rule keeps restarts whose pace could still reach zero; some of
+            # them are the eventual winners.
+            pace = (snapshot - cost) / 8
+            horizon = cfg.max_iterations - iterations
+            active &= cost - pace * horizon <= float(cost.min()) + cfg.objective_tolerance
             snapshot = cost.copy()
 
     winner = int(np.argmin(cost))
