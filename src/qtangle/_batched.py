@@ -29,13 +29,19 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
-def one_tangle_batch(states: np.ndarray, n: int, subset: tuple[int, ...]) -> np.ndarray:
-    """2(1 - tr rho_k^2) for each row of ``states``."""
+def qubits_first(states: np.ndarray, n: int, front: tuple[int, ...]) -> np.ndarray:
+    """(K, 2^n) rows as (K, 2^|front|, rest) matrices: rows index the ``front``
+    qubits in the order given, columns the others in register order."""
     k = states.shape[0]
     t = states.reshape((k,) + (2,) * n)
-    rest = [1 + q for q in range(n) if q not in subset]
-    m = np.moveaxis(t, [1 + q for q in subset] + rest, range(1, n + 1))
-    m = m.reshape(k, 2 ** len(subset), -1)
+    order = list(front) + [q for q in range(n) if q not in front]
+    t = np.moveaxis(t, [1 + q for q in order], range(1, n + 1))
+    return t.reshape(k, 2 ** len(front), -1)
+
+
+def one_tangle_batch(states: np.ndarray, n: int, subset: tuple[int, ...]) -> np.ndarray:
+    """2(1 - tr rho_k^2) for each row of ``states``."""
+    m = qubits_first(states, n, subset)
     gram = m @ m.conj().transpose(0, 2, 1)
     purity = np.einsum("kij,kij->k", gram, gram.conj()).real
     return 2.0 * (1.0 - purity)
@@ -49,10 +55,7 @@ def _pair_spin_flip_matrix(states: np.ndarray, n: int, i: int, j: int) -> np.nda
     singular values of R^* YY R^H, so M is replaced by the 4x4 R^H and the
     result is (K, 4, 4). The (E, E) matrix is never formed.
     """
-    k = states.shape[0]
-    t = states.reshape((k,) + (2,) * n)
-    rest = [1 + q for q in range(n) if q not in (i, j)]
-    m = np.moveaxis(t, [1 + i, 1 + j] + rest, range(1, n + 1)).reshape(k, 4, -1)
+    m = qubits_first(states, n, (i, j))
     if m.shape[2] > 4:
         m = np.linalg.qr(m.conj().transpose(0, 2, 1), mode="r").conj().transpose(0, 2, 1)
     return m.transpose(0, 2, 1) @ (_YY @ m)

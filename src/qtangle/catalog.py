@@ -123,8 +123,11 @@ def phi_abd(alpha: float, p: float, phi: float) -> StateVector:
     """Superposition sqrt(alpha)|first> - e^{i phi} sqrt(1-alpha)|second> of the
     two principal components from :func:`abd_components`."""
     alpha = _check_range("alpha", alpha, 0.0, 1.0)
+    phi = float(phi)
+    if not np.isfinite(phi):
+        raise StateError(f"phi must be finite, got {phi!r}")
     _, first, second = abd_components(p)
-    amps = np.sqrt(alpha) * first.amplitudes - np.exp(1j * float(phi)) * np.sqrt(
+    amps = np.sqrt(alpha) * first.amplitudes - np.exp(1j * phi) * np.sqrt(
         1.0 - alpha
     ) * second.amplitudes
     return StateVector(amps, 3)

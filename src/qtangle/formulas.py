@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import catalog, measures
-from .states import StateError
+from .states import StateError, is_integer
 
 __all__ = [
     "ClosedFormResult",
@@ -68,6 +68,8 @@ def tau3_family(alpha: float, p: float, phi: float) -> float:
     """Three-tangle of the two-branch superposition family phi_abd(alpha, p, phi)."""
     alpha = _check_unit(alpha, "alpha")
     p = _check_unit(p)
+    if not math.isfinite(phi):
+        raise StateError(f"phi must be finite, got {phi!r}")
     f1 = 6.0 * alpha**2 * p * (1.0 - p) / (2.0 + p) ** 2
     f2 = (
         24.0
@@ -128,9 +130,8 @@ def e_ms_psi6_closed(p: float) -> ClosedFormResult:
 
 def tau_a1_formula(n: int) -> float:
     """One-tangle of the first qubit of rho_wn_mix(n, 1/(n+1)): 4(n-1)/(n^2+n)."""
-    if not 2 <= int(n) <= 9:
-        raise StateError(f"n must lie in [2, 9], got {n!r}")
-    n = int(n)
+    if not (is_integer(n) and 2 <= n <= 9):
+        raise StateError(f"n must be an integer in [2, 9], got {n!r}")
     return 4.0 * (n - 1) / (n * n + n)
 
 

@@ -6,13 +6,13 @@ Stiefel manifold. The optimizer has two phases and runs seeded random
 restarts in lockstep: each restart draws an isometry, then a batched
 Levenberg-Marquardt polish of the member-mixing unitary (Cayley-parameterized,
 residuals sqrt(p_i * measure_i)) takes it down, to 1e-8 and below on states
-whose optimal ensembles sit in narrow curved valleys. Each step first prices
-the candidates, one kernel call of m rows per restart, and then linearizes only
-the accepted ones: a second call evaluates the 2m^2 - m member columns their
-finite-difference probes change (one per diagonal generator, two per
-off-diagonal one). A rejected step keeps the Jacobian it already has. A
-restart retires after 7 straight rejections, or when even its recent pace over
-the remaining budget would leave it more than the tolerance above the best.
+whose optimal ensembles sit in narrow curved valleys. Each step first
+linearizes the restarts that moved in their last step: one kernel call over the
+2m^2 - m member columns their finite-difference probes change (one per diagonal
+generator, two per off-diagonal one). It then prices the candidates, one call
+of m rows per restart. A restart retires after 7 straight rejections, or when
+even its recent pace over the remaining budget would leave it more than the
+tolerance above the best.
 
 Restart draws alternate between Haar isometries and, when the spectrum has a
 degenerate cluster, block-diagonal draws that keep each cluster's members inside
@@ -189,7 +189,7 @@ def _resolve_measure(
     if name == "e_ms":
         if n < 3:
             raise StateError("e_ms roof needs at least 3 qubits")
-        return lambda s: np.maximum(_batched.e_ms_batch(s, n), 0.0)
+        return lambda s: _batched.e_ms_batch(s, n)
     raise StateError(f"unsupported roof measure {measure!r}")
 
 
@@ -226,14 +226,14 @@ def _ensemble_from_columns(columns: np.ndarray, n_qubits: int) -> Ensemble:
 def _contributions(
     columns: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]
 ) -> np.ndarray:
-    """p_i * measure(psi_i) for every member column; leading axes are batch axes."""
+    """p_i * measure(psi_i) >= 0 for every member column; leading axes are batch axes."""
     norms = np.einsum("...di,...di->...i", columns, columns.conj()).real
     safe = np.sqrt(np.maximum(norms, 1e-300))
     states = (columns / safe[..., None, :]).swapaxes(-1, -2)
     flat = np.ascontiguousarray(states.reshape(-1, columns.shape[-2]))
     vals = fn(flat).reshape(norms.shape)
     vals = np.where(norms > 1e-14, vals, 0.0)
-    return norms * vals
+    return np.maximum(norms * vals, 0.0)
 
 
 def _draw_isometries(
@@ -318,12 +318,12 @@ class _LockstepPolish:
     generator and in two for an off-diagonal one; every other member comes out
     as an exact copy whose Jacobian entry is exactly zero. So ``jacobian``
     evaluates only the 2m^2 - m probed members and differences them against
-    residuals already priced. ``iterate`` prices the m candidate members of
-    every restart in one kernel call and linearizes only the accepted
-    candidates, in a second call that it skips when none is accepted. A
-    rejected step leaves the columns untouched, so its residuals and Jacobian
-    stay exact and are kept. Each row of a kernel call is computed on its own,
-    so the split changes no value.
+    residuals already priced. ``iterate`` only prices: it makes one kernel
+    call on the m candidate members of every restart. The caller computes the
+    Jacobian at the top of a step, only for restarts whose columns moved in
+    their last step; a rejected step leaves the columns untouched, so its
+    residuals and Jacobian stay exact and are kept. Each row of a kernel call
+    is computed on its own, so the split changes no value.
 
     STEP is small because the three-tangle residual sqrt(4|D(w)|)/|w| has a
     cusp at every zero of the hyperdeterminant D. Near a zero-valued roof the
@@ -347,25 +347,17 @@ class _LockstepPolish:
         self.columns = probes[self.probed_param, :, self.probed_col].T  # (m, 2m^2 - m)
         self.eye_p = np.eye(self.n_params)
 
-    def linearize(
-        self, w: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Contributions (R, m), residuals (R, m) and Jacobian (P, R, m) at w."""
-        contrib = _contributions(w, fn)
-        res = np.sqrt(np.maximum(contrib, 0.0))
-        return contrib, res, self.jacobian(w, res, fn)
-
     def jacobian(
         self, w: np.ndarray, res: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]
     ) -> np.ndarray:
-        """Jacobian (P, R, m) at w, differenced against its residuals res (R, m)."""
+        """Jacobian (R, P, m) at w, differenced against its residuals res (R, m)."""
         # einsum, not matmul: a BLAS product may fuse the multiply-adds and
         # round the probed members differently from the finite-difference form.
         probed = _contributions(np.einsum("rdm,mn->rdn", w, self.columns), fn)
-        jac = np.zeros((self.n_params, w.shape[0], self.m))
-        jac[self.probed_param, :, self.probed_col] = (
-            (np.sqrt(np.maximum(probed, 0.0)) - res[:, self.probed_col]) / self.STEP
-        ).T
+        jac = np.zeros((w.shape[0], self.n_params, self.m))
+        jac[:, self.probed_param, self.probed_col] = (
+            np.sqrt(probed) - res[:, self.probed_col]
+        ) / self.STEP
         return jac
 
     def iterate(
@@ -376,11 +368,10 @@ class _LockstepPolish:
         res: np.ndarray,
         jac: np.ndarray,
         fn: Callable[[np.ndarray], np.ndarray],
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One damped step per restart; returns (w, cost, damping, accept, res, jac)."""
-        grad = np.einsum("prm,rm->rp", jac, res)
-        jac_r = jac.transpose(1, 0, 2)
-        hess = jac_r @ jac_r.transpose(0, 2, 1)
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One damped step per restart; returns (w, cost, damping, accept, res)."""
+        grad = np.einsum("rpm,rm->rp", jac, res)
+        hess = jac @ jac.transpose(0, 2, 1)
         hess = hess + damping[:, None, None] * self.eye_p[None]
         try:
             delta = np.linalg.solve(hess, -grad[..., None])[..., 0]
@@ -391,7 +382,7 @@ class _LockstepPolish:
         gen = (delta @ self.dirs.reshape(self.n_params, -1)).reshape(-1, self.m, self.m)
         candidates = np.einsum("rdm,rmn->rdn", w, _cayley(gen))
         cand_contrib = _contributions(candidates, fn)
-        cand_cost = np.maximum(cand_contrib, 0.0).sum(axis=1)
+        cand_cost = cand_contrib.sum(axis=1)
         # Accept only meaningful drops; float-dust improvements would otherwise
         # keep a stalled restart alive indefinitely.
         accept = (cost - cand_cost) > np.maximum(1e-16, 1e-10 * cost)
@@ -399,11 +390,8 @@ class _LockstepPolish:
         cost = np.where(accept, cand_cost, cost)
         damping = np.where(accept, damping * 0.35, damping * 5.0)
         damping = np.clip(damping, 1e-13, 1e8)
-        res = np.where(accept[:, None], np.sqrt(np.maximum(cand_contrib, 0.0)), res)
-        if accept.any():
-            jac = jac.copy()
-            jac[:, accept] = self.jacobian(candidates[accept], res[accept], fn)
-        return w, cost, damping, accept, res, jac
+        res = np.where(accept[:, None], np.sqrt(cand_contrib), res)
+        return w, cost, damping, accept, res
 
 
 def roof_minimize(
@@ -430,17 +418,19 @@ def roof_minimize(
         raise StateError(f"rank {rank} exceeds the ensemble-size cap {m}")
 
     base = spec.eigenvectors * np.sqrt(spec.eigenvalues)
-    spectral_ensemble = _ensemble_from_columns(base, rho.n_qubits)
-    spectral_value = float(np.maximum(_contributions(base, fn), 0.0).sum())
+    spectral_value = float(_contributions(base, fn).sum())
     if rank == 1 or spectral_value <= cfg.objective_tolerance:
-        return RoofResult(spectral_value, spectral_ensemble)
+        return RoofResult(spectral_value, _ensemble_from_columns(base, rho.n_qubits))
 
     w = base[None] @ _draw_isometries(cfg.seed, cfg.restarts, m, spec.eigenvalues).conj().transpose(
         0, 2, 1
     )
     polish = _LockstepPolish(m)
-    contrib, res, jac = polish.linearize(w, fn)
-    cost = np.maximum(contrib, 0.0).sum(axis=1)
+    contrib = _contributions(w, fn)
+    cost = contrib.sum(axis=1)
+    res = np.sqrt(contrib)
+    jac = np.zeros((cfg.restarts, polish.n_params, m))
+    moved = np.ones(cfg.restarts, dtype=bool)  # columns changed since jac was set
     damping = np.full(cfg.restarts, 1e-2)
     streak = np.zeros(cfg.restarts, dtype=int)
     active = np.ones(cfg.restarts, dtype=bool)
@@ -450,13 +440,14 @@ def roof_minimize(
         if float(cost.min()) <= cfg.objective_tolerance:
             break
         idx = np.nonzero(active)[0]
-        w_a, cost_a, damp_a, accepted, res_a, jac_a = polish.iterate(
-            w[idx], cost[idx], damping[idx], res[idx], jac[:, idx], fn
+        stale = idx[moved[idx]]
+        if stale.size:
+            jac[stale] = polish.jacobian(w[stale], res[stale], fn)
+        w[idx], cost[idx], damping[idx], moved[idx], res[idx] = polish.iterate(
+            w[idx], cost[idx], damping[idx], res[idx], jac[idx], fn
         )
-        w[idx], cost[idx], damping[idx] = w_a, cost_a, damp_a
-        res[idx], jac[:, idx] = res_a, jac_a
         iterations += 1
-        streak[idx] = np.where(accepted, 0, streak[idx] + 1)
+        streak[idx] = np.where(moved[idx], 0, streak[idx] + 1)
         # Retire restarts that converged or stopped making progress. Seven
         # straight rejections let the damping climb 5^7: a fresh draw on a
         # state with a light degenerate cluster, such as smolin(0.01) for
@@ -482,7 +473,7 @@ def roof_minimize(
 
     winner = int(np.argmin(cost))
     if spectral_value <= float(cost[winner]):
-        return RoofResult(spectral_value, spectral_ensemble)
+        return RoofResult(spectral_value, _ensemble_from_columns(base, rho.n_qubits))
     ensemble = _ensemble_from_columns(w[winner], rho.n_qubits)
     ensemble.check_mixture(rho)
     return RoofResult(float(cost[winner]), ensemble)
@@ -509,10 +500,8 @@ def measure_env_povm(
     if not np.allclose(total, np.eye(dim_env), atol=1e-10, rtol=0.0):
         raise StateError("POVM elements do not sum to the identity within 1e-10")
 
-    # Reshape |psi> to (system, environment) with system axes in register order.
-    t = psi.amplitudes.reshape([2] * psi.n_qubits)
-    t = np.moveaxis(t, list(system) + list(env_subset), range(psi.n_qubits))
-    t = t.reshape(-1, dim_env)
+    # |psi> as a (system, environment) matrix, both in register order.
+    t = _batched.qubits_first(psi.amplitudes[None], psi.n_qubits, system)[0]
 
     members = []
     for element in povm:

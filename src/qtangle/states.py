@@ -13,6 +13,8 @@ from typing import Iterable
 
 import numpy as np
 
+from ._batched import qubits_first
+
 __all__ = [
     "StateError",
     "StateVector",
@@ -179,18 +181,16 @@ def partial_trace(state, keep: Iterable[int]) -> DensityMatrix:
     """
     data, n, pure = _as_tensor(state)
     kept = check_subset(keep, n)
-    dropped = [q for q in range(n) if q not in kept]
-    dk = 2 ** len(kept)
     if pure:
         # For |psi>, build the (kept, dropped) reshape and contract the dropped side.
-        psi = data.reshape([2] * n)
-        psi = np.moveaxis(psi, list(kept) + dropped, range(n)).reshape(dk, -1)
+        psi = qubits_first(data[None], n, kept)[0]
         reduced = psi @ psi.conj().T
     else:
+        dropped = [q for q in range(n) if q not in kept]
         rho = data.reshape([2] * (2 * n))
         order = list(kept) + dropped
         rho = np.moveaxis(rho, order + [n + q for q in order], range(2 * n))
-        dd = 2 ** len(dropped)
+        dk, dd = 2 ** len(kept), 2 ** len(dropped)
         rho = rho.reshape(dk, dd, dk, dd)
         reduced = np.einsum("ikjk->ij", rho)
     reduced = 0.5 * (reduced + reduced.conj().T)  # scrub float asymmetry

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import catalog, formulas, measures
 from .roof import RoofConfig, roof_minimize
-from .states import StateError, partial_trace
+from .states import StateError, is_integer, partial_trace
 
 __all__ = ["SweepSpec", "run_sweep", "run_surface", "preset_spec", "FAMILY_COLUMNS"]
 
@@ -104,8 +104,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILY_COLUMNS:
             raise StateError(f"unknown sweep family {self.family!r}")
-        if self.steps < 2:
-            raise StateError("a sweep needs at least 2 steps")
+        if not (is_integer(self.steps) and self.steps >= 2):
+            raise StateError(f"a sweep needs an integer number of steps >= 2, got {self.steps!r}")
         if not (0.0 <= self.start < self.stop <= 1.0):
             raise StateError(
                 f"sweep range [{self.start}, {self.stop}] must sit inside [0, 1]"
@@ -136,8 +136,8 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
 
 def run_surface(steps: int = 41) -> tuple[list[str], list[list[float]]]:
     """The (alpha, p) surface of the family three-tangle at phase zero."""
-    if steps < 2:
-        raise StateError("a surface needs at least 2 steps per axis")
+    if not (is_integer(steps) and steps >= 2):
+        raise StateError(f"a surface needs an integer number of steps >= 2, got {steps!r}")
     header = ["alpha", "p", "tau3"]
     axis = np.linspace(0.0, 1.0, steps)
     rows = []

@@ -156,10 +156,10 @@ def projector(psi: StateVector) -> np.ndarray:
 
 
 def dense_linearize(w: np.ndarray, fn, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals (R, m) and Jacobian (m^2, R, m) from all m^2 + 1 probe ensembles."""
+    """Residuals (R, m) and Jacobian (R, m^2, m) from all m^2 + 1 probe ensembles."""
     m = w.shape[-1]
     eye = np.eye(m, dtype=complex)
     probe = np.concatenate([eye[None], _cayley(step * _generator_directions(m))], axis=0)
     probed = np.einsum("rdm,pmn->prdn", w, probe)
-    res = np.sqrt(np.maximum(_contributions(probed, fn), 0.0))  # (m^2 + 1, R, m)
-    return res[0], (res[1:] - res[0]) / step
+    res = np.sqrt(_contributions(probed, fn))  # (m^2 + 1, R, m)
+    return res[0], (res[1:] - res[0]).swapaxes(0, 1) / step

@@ -147,6 +147,15 @@ def test_domain_errors():
         rho_wn_mix(10, 0.5)
     with pytest.raises(StateError):
         phi_abd(1.5, 0.5, 0.0)
+    assert phi_abd(0.5, 0.5, 7.0).n_qubits == 3
+
+
+@pytest.mark.parametrize("phi", [float("nan"), float("inf"), -np.inf])
+def test_phi_abd_refuses_non_finite_phase(phi):
+    # The phase is checked before any NumPy arithmetic: the suite turns the
+    # RuntimeWarning that np.exp(1j * inf) gives into a failure.
+    with pytest.raises(StateError):
+        phi_abd(0.5, 0.5, phi)
     # Non-integer qubit counts are refused, not truncated.
     for bad in (3.7, 3.0, np.float64(4.0), True, "3", None):
         with pytest.raises(StateError):

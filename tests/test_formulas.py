@@ -138,3 +138,17 @@ def test_domain_errors():
         tau_a1_formula(10)
     with pytest.raises(StateError):
         abd_excitation_weight(-0.5)
+
+
+def test_tau_a1_formula_refuses_non_integer_counts():
+    # Refused, not truncated to the value at int(n).
+    for bad in (3.7, 3.0, np.float64(4.0), float("nan"), True, "3"):
+        with pytest.raises(StateError):
+            tau_a1_formula(bad)
+    assert tau_a1_formula(np.int64(3)) == tau_a1_formula(3)
+
+
+def test_tau3_family_refuses_non_finite_phase():
+    for bad in (float("nan"), float("inf"), -np.inf):
+        with pytest.raises(StateError):
+            tau3_family(0.5, 0.5, bad)

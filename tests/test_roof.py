@@ -24,8 +24,9 @@ from qtangle import (
     w,
 )
 
+from qtangle import _batched
 from qtangle.formulas import tau_a1_formula
-from qtangle.roof import _LockstepPolish, _resolve_measure
+from qtangle.roof import _contributions, _LockstepPolish, _resolve_measure
 from qtangle.sweep import SweepSpec, run_sweep
 
 from helpers import (
@@ -290,20 +291,19 @@ def _random_columns(rng: np.random.Generator, restarts: int, dim: int, m: int) -
     "measure, n, m",
     [("three_tangle", 3, 4), ("one_tangle", 3, 4), ("e_ms", 4, 8)],
 )
-def test_polish_linearize_matches_dense_probes(measure, n, m):
+def test_polish_jacobian_matches_dense_probes(measure, n, m):
     rng = np.random.default_rng(97)
     fn = _resolve_measure(measure, n, (0,))
     polish = _LockstepPolish(m)
     w = _random_columns(rng, 3, 2**n, m) / 4.0
-    contrib, res, jac = polish.linearize(w, fn)
+    res = np.sqrt(_contributions(w, fn))
     dense_res, dense_jac = dense_linearize(w, fn, polish.STEP)
     assert np.array_equal(res, dense_res)
-    assert np.array_equal(jac, dense_jac)
-    assert np.array_equal(res, np.sqrt(np.maximum(contrib, 0.0)))
+    assert np.array_equal(polish.jacobian(w, res, fn), dense_jac)
 
 
 @pytest.mark.parametrize("m", [4, 8])
-def test_polish_iterate_prices_then_linearizes_accepted(m):
+def test_polish_iterate_only_prices(m):
     rng = np.random.default_rng(101)
     kernel = _resolve_measure("three_tangle", 3, (0,))
     calls = []
@@ -315,38 +315,96 @@ def test_polish_iterate_prices_then_linearizes_accepted(m):
     polish = _LockstepPolish(m)
     restarts = 5
     w = _random_columns(rng, restarts, 8, m) / 4.0
-    contrib, res, jac = polish.linearize(w, fn)
-    cost = np.maximum(contrib, 0.0).sum(axis=1)
+    contrib = _contributions(w, kernel)
+    res = np.sqrt(contrib)
+    jac = polish.jacobian(w, res, kernel)
+    cost = contrib.sum(axis=1)
     inputs = (w, cost, np.full(restarts, 1e-2), res, jac)
     before = [a.copy() for a in inputs]
 
-    calls.clear()
-    out = polish.iterate(*inputs, fn)
-    w_new, _, _, accept, res_new, jac_new = out
+    w_new, _, _, accept, res_new = polish.iterate(*inputs, fn)
     assert accept.any() and not accept.all()
-    # One pricing call on the candidate members, then the probed members of
-    # the accepted candidates only.
-    assert calls == [m * restarts, (2 * m * m - m) * int(accept.sum())]
+    # One pricing call on the candidate members and nothing else.
+    assert calls == [m * restarts]
     for a, b in zip(inputs, before):
         assert np.array_equal(a, b)
-    # Accepted restarts carry the candidate's exact linearization; rejected
-    # ones keep the old one, which is still exact because w did not move.
-    _, fresh_res, fresh_jac = polish.linearize(w_new, kernel)
-    assert np.array_equal(res_new, fresh_res)
-    assert np.array_equal(jac_new, fresh_jac)
+    # Accepted restarts carry the candidate's exact residuals; rejected ones
+    # keep their columns and residuals.
+    assert np.array_equal(res_new, np.sqrt(_contributions(w_new, kernel)))
+    assert np.array_equal(w_new[~accept], w[~accept])
+    assert np.array_equal(res_new[~accept], res[~accept])
 
     # Damping 1e8 alone still gives drops near 1e-7, far above the acceptance
     # threshold; with the Jacobian's sign flipped every short step goes uphill.
-    # Every candidate is priced and none is linearized.
     calls.clear()
-    w_new, _, _, accept, res_new, jac_new = polish.iterate(
+    w_new, _, _, accept, res_new = polish.iterate(
         w, cost, np.full(restarts, 1e8), res, -jac, fn
     )
     assert not accept.any()
     assert calls == [m * restarts]
     assert np.array_equal(w_new, w)
     assert np.array_equal(res_new, res)
-    assert np.array_equal(jac_new, -jac)
+
+
+@pytest.mark.parametrize(
+    "state, measure, kernel",
+    [
+        (rho_ghz_w(0.8), "three_tangle", "three_tangle_batch"),
+        (rho_ghz_w(0.3), "three_tangle", "three_tangle_batch"),
+        (rho_wn_mix(3, 0.5), "one_tangle", "one_tangle_batch"),
+    ],
+    ids=["budget", "zero", "one_tangle"],
+)
+def test_roof_computes_only_jacobians_the_next_step_uses(monkeypatch, state, measure, kernel):
+    # Log every kernel call, Jacobian and step of one whole roof.
+    events = []
+    batched = getattr(_batched, kernel)
+    jacobian, iterate = _LockstepPolish.jacobian, _LockstepPolish.iterate
+
+    def logged_kernel(states, *args):
+        events.append(("kernel", states.shape[0]))
+        return batched(states, *args)
+
+    def logged_jacobian(self, w, res, fn):
+        events.append(("jacobian", w.copy()))
+        return jacobian(self, w, res, fn)
+
+    def logged_iterate(self, w, *args):
+        events.append(("step", w.copy()))
+        out = iterate(self, w, *args)
+        events.append(("stepped", out[0][out[3]].copy()))
+        return out
+
+    monkeypatch.setattr(_batched, kernel, logged_kernel)
+    monkeypatch.setattr(_LockstepPolish, "jacobian", logged_jacobian)
+    monkeypatch.setattr(_LockstepPolish, "iterate", logged_iterate)
+    roof_minimize(state, measure, RoofConfig(restarts=6, max_iterations=60, seed=3))
+
+    steps = [i for i, (kind, _) in enumerate(events) if kind == "step"]
+    assert len(steps) > 1
+    moved = None  # columns accepted by the previous step; None before the first
+    for i, (kind, w) in enumerate(events):
+        if kind == "stepped":
+            moved = {row.tobytes() for row in w}
+        if kind != "step":
+            continue
+        # The restarts this step moves whose columns changed in their last
+        # step, in restart order: all of them on the first step.
+        stale = np.array([moved is None or row.tobytes() in moved for row in w])
+        if stale.any():
+            kind_before, w_before = events[i - 2]
+            assert kind_before == "jacobian"
+            assert np.array_equal(w_before, w[stale])
+        else:
+            assert events[i - 1][0] != "kernel"
+    # Every Jacobian is followed by the step that uses it, and the roof ends
+    # on a pricing call: m rows per restart of the last step.
+    for i, (kind, _) in enumerate(events):
+        if kind == "jacobian":
+            assert events[i + 2][0] == "step"
+    kernels = [i for i, (kind, _) in enumerate(events) if kind == "kernel"]
+    assert steps[-1] < kernels[-1]
+    assert events[kernels[-1]][1] == events[steps[-1]][1].size // state.dim
 
 
 def test_roof_rank_above_cap_rejected():

@@ -118,6 +118,11 @@ def test_sweep_spec_validation():
         SweepSpec("ghz_w", 0.0, 1.0, 5, (), cfg)
     with pytest.raises(StateError):
         SweepSpec("ghz_w", 0.0, 1.0, 5, ("negativity_avg",), cfg)
+    # Non-integer step counts are refused, not handed to np.linspace.
+    for bad in (3.0, 2.5, np.float64(5.0), True, "5", None):
+        with pytest.raises(StateError):
+            SweepSpec("ghz_w", 0.0, 1.0, bad, ("e_ms_psi4",), cfg)
+    assert len(SweepSpec("ghz_w", 0.0, 1.0, np.int64(3), ("e_ms_psi4",), cfg).grid()) == 3
 
 
 def test_run_sweep_endpoints():
@@ -140,6 +145,9 @@ def test_run_surface_shape():
     assert rows[-1][:2] == [1.0, 1.0]
     with pytest.raises(StateError):
         run_surface(1)
+    for bad in (2.5, 3.0, True, "3", None):
+        with pytest.raises(StateError):
+            run_surface(bad)
 
 
 def test_preset_specs():
