@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -176,7 +177,7 @@ def _cmd_state(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise _UsageError(f"bad parameter {text!r}: {exc}") from exc
         if convert is int:
-            if number != int(number):
+            if not math.isfinite(number) or number != int(number):
                 raise _UsageError(f"parameter {text!r} must be an integer")
             values.append(int(number))
         else:

@@ -18,6 +18,14 @@ Restart draws alternate between Haar isometries and, when the spectrum has a
 degenerate cluster, block-diagonal draws that keep each cluster's members inside
 its own eigenspace; degenerate states (where the eigenbasis is arbitrary inside
 a cluster) are exactly the ones whose optima need that alignment.
+
+The search has up to two stages, each a full draw-and-polish run. When the
+rank r is at least 3 and the ensemble size m exceeds it, the first stage
+polishes ensembles of r members and ends the search if it reaches the
+tolerance: zero roofs, such as the e_ms roof of the Smolin-type mixtures, get
+there far sooner with r members than with m. Otherwise the second stage runs
+at m, exactly as a single-stage search would, and the lower of the two values
+wins, so the first stage never raises a roof. At rank 2 only the m stage runs.
 """
 
 from __future__ import annotations
@@ -119,9 +127,11 @@ class RoofConfig:
     """Knobs for roof_minimize; the defaults match the acceptance runs.
 
     ``max_ensemble_size`` of None resolves per state to min(2*rank, 8).
-    ``max_iterations`` caps refinement effort per run: it counts
-    Levenberg-Marquardt polish steps. It is also the horizon of the pace
-    rule, which retires a restart that could not come within
+    When that exceeds a rank of 3 or more, a stage at rank members runs
+    first, and the stage at the resolved size only when the first misses
+    ``objective_tolerance``. ``max_iterations`` caps the Levenberg-Marquardt
+    polish steps of each stage. It is also the horizon of the pace rule,
+    which retires a restart that could not come within
     ``objective_tolerance`` of the running best in the steps left.
     """
 
@@ -394,35 +404,19 @@ class _LockstepPolish:
         return w, cost, damping, accept, res
 
 
-def roof_minimize(
-    rho: DensityMatrix,
-    measure: str,
-    config: RoofConfig | None = None,
-    *,
-    partition: Iterable[int] = (0,),
-) -> RoofResult:
-    """Minimize the ensemble-averaged measure over pure-state decompositions.
+def _polish(
+    base: np.ndarray,
+    m: int,
+    eigenvalues: np.ndarray,
+    fn: Callable[[np.ndarray], np.ndarray],
+    cfg: RoofConfig,
+) -> tuple[float, np.ndarray]:
+    """Draw cfg.restarts isometries at ensemble size m and polish them in lockstep.
 
-    Returns the lowest average found and the realizing ensemble. The value is an
-    upper bound on the true roof, never exceeds the spectral-ensemble average,
-    and is deterministic for a fixed config (restart streams are seeded from
-    (seed, restart index), and ties go to the lowest restart index).
+    Returns the lowest cost and its member columns (dim, m); ties go to the
+    lowest restart index.
     """
-    cfg = config or RoofConfig()
-    spec = spectral_decomposition(rho)
-    rank = spec.eigenvalues.shape[0]
-    fn = _resolve_measure(measure, rho.n_qubits, tuple(partition))
-
-    m = cfg.max_ensemble_size if cfg.max_ensemble_size is not None else min(2 * rank, 8)
-    if rank > m:
-        raise StateError(f"rank {rank} exceeds the ensemble-size cap {m}")
-
-    base = spec.eigenvectors * np.sqrt(spec.eigenvalues)
-    spectral_value = float(_contributions(base, fn).sum())
-    if rank == 1 or spectral_value <= cfg.objective_tolerance:
-        return RoofResult(spectral_value, _ensemble_from_columns(base, rho.n_qubits))
-
-    w = base[None] @ _draw_isometries(cfg.seed, cfg.restarts, m, spec.eigenvalues).conj().transpose(
+    w = base[None] @ _draw_isometries(cfg.seed, cfg.restarts, m, eigenvalues).conj().transpose(
         0, 2, 1
     )
     polish = _LockstepPolish(m)
@@ -472,11 +466,56 @@ def roof_minimize(
             snapshot = cost.copy()
 
     winner = int(np.argmin(cost))
-    if spectral_value <= float(cost[winner]):
+    return float(cost[winner]), w[winner]
+
+
+def roof_minimize(
+    rho: DensityMatrix,
+    measure: str,
+    config: RoofConfig | None = None,
+    *,
+    partition: Iterable[int] = (0,),
+) -> RoofResult:
+    """Minimize the ensemble-averaged measure over pure-state decompositions.
+
+    Returns the lowest average found and the realizing ensemble. The value is an
+    upper bound on the true roof, never exceeds the spectral-ensemble average,
+    and is deterministic for a fixed config (restart streams are seeded from
+    (seed, restart index), and ties go to the lowest restart index, then to
+    the m = rank stage).
+    """
+    cfg = config or RoofConfig()
+    spec = spectral_decomposition(rho)
+    rank = spec.eigenvalues.shape[0]
+    fn = _resolve_measure(measure, rho.n_qubits, tuple(partition))
+
+    m = cfg.max_ensemble_size if cfg.max_ensemble_size is not None else min(2 * rank, 8)
+    if rank > m:
+        raise StateError(f"rank {rank} exceeds the ensemble-size cap {m}")
+
+    base = spec.eigenvectors * np.sqrt(spec.eigenvalues)
+    spectral_value = float(_contributions(base, fn).sum())
+    if rank == 1 or spectral_value <= cfg.objective_tolerance:
         return RoofResult(spectral_value, _ensemble_from_columns(base, rho.n_qubits))
-    ensemble = _ensemble_from_columns(w[winner], rho.n_qubits)
+
+    # An ensemble of rank members has rank^2 - rank real freedoms (the mixing
+    # unitary up to member phases). At rank 2 that is 2 against the 4 real
+    # conditions for both members to sit on zeros of the hyperdeterminant, so
+    # an m = 2 stage would only add cost. From rank 3 on the count no longer
+    # rules zero ensembles out, and zero roofs reach the tolerance far sooner
+    # at m = rank than at m.
+    staged = 3 <= rank < m
+    cost, w = _polish(base, rank if staged else m, spec.eigenvalues, fn, cfg)
+    if staged and cost > cfg.objective_tolerance:
+        wide_cost, wide_w = _polish(base, m, spec.eigenvalues, fn, cfg)
+        if wide_cost < cost:
+            cost, w = wide_cost, wide_w
+
+    if spectral_value <= cost:
+        return RoofResult(spectral_value, _ensemble_from_columns(base, rho.n_qubits))
+    ensemble = _ensemble_from_columns(w, rho.n_qubits)
     ensemble.check_mixture(rho)
-    return RoofResult(float(cost[winner]), ensemble)
+    return RoofResult(cost, ensemble)
 
 
 def measure_env_povm(

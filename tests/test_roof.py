@@ -25,6 +25,7 @@ from qtangle import (
 )
 
 from qtangle import _batched
+from qtangle import roof as roof_module
 from qtangle.formulas import tau_a1_formula
 from qtangle.roof import _contributions, _LockstepPolish, _resolve_measure
 from qtangle.sweep import SweepSpec, run_sweep
@@ -256,15 +257,66 @@ def test_roof_stops_before_budget_on_linear_branch(monkeypatch):
         assert -1e-12 <= value - losu_tau3_roof(p) <= 2e-8, p
 
 
-@pytest.mark.parametrize("seed", [0, 5])
-def test_roof_reaches_zero_on_light_degenerate_cluster(seed):
+@pytest.mark.parametrize(
+    "p, seed", [*((p, seed) for p in (0.01, 0.03) for seed in range(6)), (0.005, 3)]
+)
+def test_roof_reaches_zero_on_light_degenerate_cluster(p, seed):
     # smolin(0.01) has eigenvalues 0.9925 and 3 x 0.0025, and every Bell-pair
     # product member has zero e_ms. A fresh draw can need six straight
     # rejections before its first accepted polish step; a polish that retires
-    # restarts after five stops near 1e-5 here. At seed 5 the eventual winner
-    # crawls at 1e-2 while the best is at 3e-5 (step 24); a rule that retires
-    # every slow restart 10x above the best drops it and ends at 4.8e-8.
-    assert roof_minimize(smolin(0.01), "e_ms", RoofConfig(seed=seed)).value <= 1e-8
+    # restarts after five stops near 1e-5 here. At m = 8 and seed 5 the
+    # eventual winner crawls at 1e-2 while the best is at 3e-5 (step 24); a
+    # rule that retires every slow restart 10x above the best drops it and
+    # ends at 4.8e-8. The m = rank = 4 stage reaches the tolerance on all of
+    # these.
+    assert roof_minimize(smolin(p), "e_ms", RoofConfig(seed=seed)).value <= 1e-8
+
+
+# A rank-3 three-qubit state whose three-tangle roof is near 0.075.
+_RANK3 = random_density(np.random.default_rng(1), 3, 3)
+_RANK3_LIGHT = {"restarts": 4, "max_iterations": 100}
+
+
+@pytest.mark.parametrize(
+    "state, measure, cfg, sizes, winner",
+    [
+        # At rank 2 an m = 2 ensemble has too few freedoms to put both
+        # members on zeros, so only the m = 4 search runs.
+        (rho_ghz_w(0.5), "three_tangle", RoofConfig(), [4], 0),
+        # A zero roof reached at m = rank ends the search.
+        (smolin(0.85), "e_ms", RoofConfig(), [4], 0),
+        # A nonzero roof runs both stages and keeps the lower value: at
+        # restart seed 1 the m = 6 stage ends lower, at seed 4 the m = 3 one.
+        (_RANK3, "three_tangle", RoofConfig(**_RANK3_LIGHT, seed=1), [3, 6], 1),
+        (_RANK3, "three_tangle", RoofConfig(**_RANK3_LIGHT, seed=4), [3, 6], 0),
+        (_RANK3, "three_tangle", RoofConfig(**_RANK3_LIGHT, max_ensemble_size=3), [3], 0),
+    ],
+    ids=["rank2", "zero_at_rank", "wide_wins", "rank_wins", "cap_at_rank"],
+)
+def test_roof_stages(monkeypatch, state, measure, cfg, sizes, winner):
+    drawn: list[int] = []
+    values: list[float] = []
+    draw, polish = roof_module._draw_isometries, roof_module._polish
+
+    def recorded_draw(seed, restarts, m, eigenvalues):
+        drawn.append(m)
+        return draw(seed, restarts, m, eigenvalues)
+
+    def recorded_polish(*args):
+        out = polish(*args)
+        values.append(out[0])
+        return out
+
+    monkeypatch.setattr(roof_module, "_draw_isometries", recorded_draw)
+    monkeypatch.setattr(roof_module, "_polish", recorded_polish)
+    res = roof_minimize(state, measure, cfg)
+    assert drawn == sizes
+    assert res.value == min(values) == values[winner]
+    if state is _RANK3:
+        assert res.value > 1e-2
+    else:
+        assert res.value <= 1e-8
+    res.ensemble.check_mixture(state)
 
 
 @pytest.mark.parametrize(

@@ -225,6 +225,8 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["state", "--family", "ghz", "--out", out]) == 2  # missing param
     assert main(["state", "--family", "ghz", "3.5", "--out", out]) == 2
     assert main(["state", "--family", "ghz", "three", "--out", out]) == 2
+    for text in ("inf", "nan"):  # int(inf) overflows, int(nan) is a ValueError
+        assert main(["state", "--family", "ghz", text, "--out", out]) == 2
     assert main(["state", "--family", "psi4", "1.5", "--out", out]) == 2  # domain
     assert main(["sweep", "--out", out]) == 2  # neither family nor preset
     assert main(["sweep", "--preset", "fig2", "--family", "ghz_w", "--out", out]) == 2
