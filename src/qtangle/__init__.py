@@ -50,6 +50,7 @@ from .roof import (
     ensemble_from_isometry,
     measure_env_povm,
     roof_minimize,
+    roof_minimize_many,
 )
 from .serialize import load_state, save_state
 from .states import (
@@ -108,6 +109,7 @@ __all__ = [
     "RoofResult",
     "ensemble_from_isometry",
     "roof_minimize",
+    "roof_minimize_many",
     "measure_env_povm",
     # closed forms
     "ClosedFormResult",

@@ -26,6 +26,18 @@ tolerance: zero roofs, such as the e_ms roof of the Smolin-type mixtures, get
 there far sooner with r members than with m. Otherwise the second stage runs
 at m, exactly as a single-stage search would, and the lower of the two values
 wins, so the first stage never raises a roof. At rank 2 only the m stage runs.
+
+``roof_minimize_many`` searches several states of one register size at once:
+each stage polishes the restarts of all its states in one lockstep loop per
+ensemble size, which pays the per-step NumPy overhead once for the batch
+instead of once per state. The stops stay per state: the tolerance, the
+seven-rejection rule and the pace rule each read that state's own restarts,
+and a state reaches the second stage only if its own first stage missed the
+tolerance. Every restart's arithmetic is independent of the others in its
+kernel calls, so each roof is bit-identical to a search of its state alone;
+``roof_minimize`` is the one-state case. The one exception is a singular
+damped system, which sends every restart of that step to the plain gradient
+step; with the damping on its diagonal it has not been seen to occur.
 """
 
 from __future__ import annotations
@@ -54,6 +66,7 @@ __all__ = [
     "RoofResult",
     "ensemble_from_isometry",
     "roof_minimize",
+    "roof_minimize_many",
     "measure_env_povm",
 ]
 
@@ -355,7 +368,6 @@ class _LockstepPolish:
             np.any(probes != np.eye(m, dtype=complex), axis=1)
         )
         self.columns = probes[self.probed_param, :, self.probed_col].T  # (m, 2m^2 - m)
-        self.eye_p = np.eye(self.n_params)
 
     def jacobian(
         self, w: np.ndarray, res: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]
@@ -382,7 +394,9 @@ class _LockstepPolish:
         """One damped step per restart; returns (w, cost, damping, accept, res)."""
         grad = np.einsum("rpm,rm->rp", jac, res)
         hess = jac @ jac.transpose(0, 2, 1)
-        hess = hess + damping[:, None, None] * self.eye_p[None]
+        # The damping goes onto the diagonal in place, so a wide batch holds
+        # one (R, P, P) array, not three.
+        hess.reshape(hess.shape[0], -1)[:, :: self.n_params + 1] += damping[:, None]
         try:
             delta = np.linalg.solve(hess, -grad[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -405,38 +419,55 @@ class _LockstepPolish:
 
 
 def _polish(
-    base: np.ndarray,
+    starts: Sequence[tuple[np.ndarray, np.ndarray]],
     m: int,
-    eigenvalues: np.ndarray,
     fn: Callable[[np.ndarray], np.ndarray],
     cfg: RoofConfig,
-) -> tuple[float, np.ndarray]:
-    """Draw cfg.restarts isometries at ensemble size m and polish them in lockstep.
+) -> list[tuple[float, np.ndarray]]:
+    """Draw cfg.restarts isometries at ensemble size m for every state and
+    polish all of them in one lockstep loop.
 
-    Returns the lowest cost and its member columns (dim, m); ties go to the
-    lowest restart index.
+    Each start is a state's scaled eigenbasis and its eigenvalues. Every stop
+    rule reads the state's own restarts, so a state ends exactly where it
+    would alone. Returns, per state, the lowest cost and its member columns
+    (dim, m); ties go to the lowest restart index.
     """
-    w = base[None] @ _draw_isometries(cfg.seed, cfg.restarts, m, eigenvalues).conj().transpose(
-        0, 2, 1
+    restarts = cfg.restarts
+    n_states = len(starts)
+    w = np.concatenate(
+        [
+            base[None]
+            @ _draw_isometries(cfg.seed, restarts, m, eigenvalues).conj().transpose(0, 2, 1)
+            for base, eigenvalues in starts
+        ]
     )
     polish = _LockstepPolish(m)
     contrib = _contributions(w, fn)
     cost = contrib.sum(axis=1)
     res = np.sqrt(contrib)
-    jac = np.zeros((cfg.restarts, polish.n_params, m))
-    moved = np.ones(cfg.restarts, dtype=bool)  # columns changed since jac was set
-    damping = np.full(cfg.restarts, 1e-2)
-    streak = np.zeros(cfg.restarts, dtype=int)
-    active = np.ones(cfg.restarts, dtype=bool)
+    jac = np.zeros((w.shape[0], polish.n_params, m))
+    moved = np.ones(w.shape[0], dtype=bool)  # columns changed since jac was set
+    damping = np.full(w.shape[0], 1e-2)
+    streak = np.zeros(w.shape[0], dtype=int)
+    active = np.ones(w.shape[0], dtype=bool)
     iterations = 0
     snapshot = cost.copy()
-    while iterations < cfg.max_iterations and np.any(active):
-        if float(cost.min()) <= cfg.objective_tolerance:
+    while iterations < cfg.max_iterations:
+        # A state stops once its best restart reaches the tolerance or none
+        # of its restarts is active.
+        best = cost.reshape(n_states, restarts).min(axis=1)
+        running = active.reshape(n_states, restarts).any(axis=1) & ~(
+            best <= cfg.objective_tolerance
+        )
+        idx = np.nonzero(active & np.repeat(running, restarts))[0]
+        if not idx.size:
             break
-        idx = np.nonzero(active)[0]
         stale = idx[moved[idx]]
-        if stale.size:
-            jac[stale] = polish.jacobian(w[stale], res[stale], fn)
+        # At most one state's worth of probes per kernel call: a wide batch
+        # in one call would set the peak memory of the whole search.
+        for lo in range(0, stale.size, restarts):
+            block = stale[lo : lo + restarts]
+            jac[block] = polish.jacobian(w[block], res[block], fn)
         w[idx], cost[idx], damping[idx], moved[idx], res[idx] = polish.iterate(
             w[idx], cost[idx], damping[idx], res[idx], jac[idx], fn
         )
@@ -459,14 +490,31 @@ def _polish(
             # passes 0.1 it lies above every cost, and losing restarts crawl
             # at the damping clip for the whole budget. On a zero roof the
             # rule keeps restarts whose pace could still reach zero; some of
-            # them are the eventual winners.
+            # them are the eventual winners. The best is the state's own;
+            # stopped states never move again, so the rule may touch them.
             pace = (snapshot - cost) / 8
             horizon = cfg.max_iterations - iterations
-            active &= cost - pace * horizon <= float(cost.min()) + cfg.objective_tolerance
+            best = np.repeat(cost.reshape(n_states, restarts).min(axis=1), restarts)
+            active &= cost - pace * horizon <= best + cfg.objective_tolerance
             snapshot = cost.copy()
 
-    winner = int(np.argmin(cost))
-    return float(cost[winner]), w[winner]
+    costs = cost.reshape(n_states, restarts)
+    winners = costs.argmin(axis=1)
+    return [(float(costs[s, k]), w[s * restarts + k]) for s, k in enumerate(winners)]
+
+
+def _polish_by_size(
+    starts: Sequence[tuple[np.ndarray, np.ndarray]],
+    sizes: Sequence[int],
+    fn: Callable[[np.ndarray], np.ndarray],
+    cfg: RoofConfig,
+) -> list[tuple[float, np.ndarray]]:
+    """_polish for every start at its own ensemble size, one loop per size."""
+    found: dict[int, tuple[float, np.ndarray]] = {}
+    for m in sorted(set(sizes)):
+        group = [i for i, size in enumerate(sizes) if size == m]
+        found.update(zip(group, _polish([starts[i] for i in group], m, fn, cfg)))
+    return [found[i] for i in range(len(starts))]
 
 
 def roof_minimize(
@@ -484,38 +532,75 @@ def roof_minimize(
     (seed, restart index), and ties go to the lowest restart index, then to
     the m = rank stage).
     """
+    return roof_minimize_many([rho], measure, config, partition=partition)[0]
+
+
+def roof_minimize_many(
+    rhos: Iterable[DensityMatrix],
+    measure: str,
+    config: RoofConfig | None = None,
+    *,
+    partition: Iterable[int] = (0,),
+) -> list[RoofResult]:
+    """roof_minimize for each state, with their searches polished together.
+
+    The states must share one register size. Each stage runs one lockstep
+    loop per ensemble size over the states that reach it, and every result
+    is bit-identical to roof_minimize on its state alone.
+    """
     cfg = config or RoofConfig()
-    spec = spectral_decomposition(rho)
-    rank = spec.eigenvalues.shape[0]
-    fn = _resolve_measure(measure, rho.n_qubits, tuple(partition))
+    rhos = list(rhos)
+    if not rhos:
+        return []
+    n = rhos[0].n_qubits
+    if any(rho.n_qubits != n for rho in rhos):
+        raise StateError("roof_minimize_many needs states of one register size")
+    fn = _resolve_measure(measure, n, tuple(partition))
 
-    m = cfg.max_ensemble_size if cfg.max_ensemble_size is not None else min(2 * rank, 8)
-    if rank > m:
-        raise StateError(f"rank {rank} exceeds the ensemble-size cap {m}")
+    results: list[RoofResult | None] = [None] * len(rhos)
+    searched = []  # (index, spectral value, first-stage size, second-stage size or 0)
+    starts = []  # (scaled eigenbasis, eigenvalues) of each searched state
+    for k, rho in enumerate(rhos):
+        spec = spectral_decomposition(rho)
+        rank = spec.eigenvalues.shape[0]
+        m = cfg.max_ensemble_size if cfg.max_ensemble_size is not None else min(2 * rank, 8)
+        if rank > m:
+            raise StateError(f"rank {rank} exceeds the ensemble-size cap {m}")
+        base = spec.eigenvectors * np.sqrt(spec.eigenvalues)
+        spectral_value = float(_contributions(base, fn).sum())
+        if rank == 1 or spectral_value <= cfg.objective_tolerance:
+            results[k] = RoofResult(spectral_value, _ensemble_from_columns(base, n))
+            continue
+        # An ensemble of rank members has rank^2 - rank real freedoms (the
+        # mixing unitary up to member phases). At rank 2 that is 2 against the
+        # 4 real conditions for both members to sit on zeros of the
+        # hyperdeterminant, so an m = 2 stage would only add cost. From rank 3
+        # on the count no longer rules zero ensembles out, and zero roofs
+        # reach the tolerance far sooner at m = rank than at m.
+        staged = 3 <= rank < m
+        searched.append((k, spectral_value, rank if staged else m, m if staged else 0))
+        starts.append((base, spec.eigenvalues))
 
-    base = spec.eigenvectors * np.sqrt(spec.eigenvalues)
-    spectral_value = float(_contributions(base, fn).sum())
-    if rank == 1 or spectral_value <= cfg.objective_tolerance:
-        return RoofResult(spectral_value, _ensemble_from_columns(base, rho.n_qubits))
+    found = _polish_by_size(starts, [first for _, _, first, _ in searched], fn, cfg)
+    wide = [
+        i for i, (_, _, _, size) in enumerate(searched)
+        if size and found[i][0] > cfg.objective_tolerance
+    ]
+    wide_found = _polish_by_size(
+        [starts[i] for i in wide], [searched[i][3] for i in wide], fn, cfg
+    )
+    for i, (wide_cost, wide_w) in zip(wide, wide_found):
+        if wide_cost < found[i][0]:
+            found[i] = (wide_cost, wide_w)
 
-    # An ensemble of rank members has rank^2 - rank real freedoms (the mixing
-    # unitary up to member phases). At rank 2 that is 2 against the 4 real
-    # conditions for both members to sit on zeros of the hyperdeterminant, so
-    # an m = 2 stage would only add cost. From rank 3 on the count no longer
-    # rules zero ensembles out, and zero roofs reach the tolerance far sooner
-    # at m = rank than at m.
-    staged = 3 <= rank < m
-    cost, w = _polish(base, rank if staged else m, spec.eigenvalues, fn, cfg)
-    if staged and cost > cfg.objective_tolerance:
-        wide_cost, wide_w = _polish(base, m, spec.eigenvalues, fn, cfg)
-        if wide_cost < cost:
-            cost, w = wide_cost, wide_w
-
-    if spectral_value <= cost:
-        return RoofResult(spectral_value, _ensemble_from_columns(base, rho.n_qubits))
-    ensemble = _ensemble_from_columns(w, rho.n_qubits)
-    ensemble.check_mixture(rho)
-    return RoofResult(cost, ensemble)
+    for (k, spectral_value, _, _), (base, _), (cost, w) in zip(searched, starts, found):
+        if spectral_value <= cost:
+            results[k] = RoofResult(spectral_value, _ensemble_from_columns(base, n))
+            continue
+        ensemble = _ensemble_from_columns(w, n)
+        ensemble.check_mixture(rhos[k])
+        results[k] = RoofResult(cost, ensemble)
+    return results
 
 
 def measure_env_povm(

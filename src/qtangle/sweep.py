@@ -1,37 +1,38 @@
 """Parameter sweeps over the state families, as plain (header, rows) tables.
 
 Each family exposes a fixed set of named columns; a sweep evaluates the
-requested ones over an even grid. The fig1/fig3 presets cover the mixing
-families' standard column sets on 101 points, fig2 is the (alpha, p) surface
-of the closed-form family three-tangle on a 41x41 grid.
+requested ones over an even grid. A roof column is described once, by the
+roof terms it sums (state builder, measure, partition): ``run_sweep`` searches
+each term over the whole grid in one ``roof_minimize_many`` call, and the
+per-point function in ``FAMILY_COLUMNS`` is built from the same description.
+The fig1/fig3 presets cover the mixing families' standard column sets on 101
+points, fig2 is the (alpha, p) surface of the closed-form family three-tangle
+on a 41x41 grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import catalog, formulas, measures
-from .roof import RoofConfig, roof_minimize
-from .states import StateError, is_integer, partial_trace
+from .roof import RoofConfig, roof_minimize, roof_minimize_many
+from .states import DensityMatrix, StateError, is_integer, partial_trace
 
 __all__ = ["SweepSpec", "run_sweep", "run_surface", "preset_spec", "FAMILY_COLUMNS"]
 
-_GhzColumns: dict[str, Callable[[float, RoofConfig], float]] = {
-    "concurrence_sq_AB": lambda p, cfg: measures.concurrence(
-        partial_trace(catalog.rho_ghz_w(p), (0, 1))
-    )
-    ** 2,
-    "tau3_roof_ABC": lambda p, cfg: roof_minimize(
-        catalog.rho_ghz_w(p), "three_tangle", cfg
-    ).value,
-    "one_tangle_roof_A": lambda p, cfg: roof_minimize(
-        catalog.rho_ghz_w(p), "one_tangle", cfg, partition=(0,)
-    ).value,
-    "e_ms_psi4": lambda p, cfg: measures.e_ms(catalog.psi4(p)),
-}
+_PointColumn = Callable[[float, RoofConfig], float]
+
+
+class _Roof(NamedTuple):
+    """One convex-roof term of a column: the state at each grid point, the
+    measure and its partition."""
+
+    state: Callable[[float], DensityMatrix]
+    measure: str
+    partition: tuple[int, ...] = (0,)
 
 
 def _smolin_pair_sum(p: float, cfg: RoofConfig) -> float:
@@ -43,27 +44,9 @@ def _smolin_pair_sum(p: float, cfg: RoofConfig) -> float:
     )
 
 
-def _smolin_tangle_roofs(p: float, cfg: RoofConfig) -> float:
-    # Genuine three- plus four-partite content: the three-tangle roof of a
-    # representative three-qubit reduction plus the e_ms roof of the whole
-    # state. Both vanish on the Smolin family.
-    state = catalog.smolin(p)
-    tau3 = roof_minimize(partial_trace(state, (0, 1, 2)), "three_tangle", cfg).value
-    tau4 = roof_minimize(state, "e_ms", cfg).value
-    return tau3 + tau4
-
-
 def _smolin_negativity_avg(p: float, cfg: RoofConfig) -> float:
     state = catalog.smolin(p)
     return sum(measures.negativity(state, (k,)) for k in range(4)) / 4.0
-
-
-_SmolinColumns: dict[str, Callable[[float, RoofConfig], float]] = {
-    "concurrence_sum": _smolin_pair_sum,
-    "tau3_plus_tau4_roof": _smolin_tangle_roofs,
-    "negativity_avg": _smolin_negativity_avg,
-    "e_ms_psi6": lambda p, cfg: measures.e_ms(catalog.psi6(p)),
-}
 
 
 def _wn_pair_sum(alpha: float, cfg: RoofConfig) -> float:
@@ -75,18 +58,65 @@ def _wn_pair_sum(alpha: float, cfg: RoofConfig) -> float:
     )
 
 
-# The wn_mix sweep parameter is the mixing weight alpha, at fixed N = 3.
-_WnColumns: dict[str, Callable[[float, RoofConfig], float]] = {
-    "concurrence_sum": _wn_pair_sum,
-    "one_tangle_roof_A1": lambda a, cfg: roof_minimize(
-        catalog.rho_wn_mix(3, a), "one_tangle", cfg, partition=(0,)
-    ).value,
+# Each family's columns in order: a function of one grid point, or the roof
+# terms whose values the column sums.
+_TABLES: dict[str, dict[str, _PointColumn | tuple[_Roof, ...]]] = {
+    "ghz_w": {
+        "concurrence_sq_AB": lambda p, cfg: measures.concurrence(
+            partial_trace(catalog.rho_ghz_w(p), (0, 1))
+        )
+        ** 2,
+        "tau3_roof_ABC": (_Roof(catalog.rho_ghz_w, "three_tangle"),),
+        "one_tangle_roof_A": (_Roof(catalog.rho_ghz_w, "one_tangle"),),
+        "e_ms_psi4": lambda p, cfg: measures.e_ms(catalog.psi4(p)),
+    },
+    "smolin": {
+        "concurrence_sum": _smolin_pair_sum,
+        # Genuine three- plus four-partite content: the three-tangle roof of a
+        # representative three-qubit reduction plus the e_ms roof of the whole
+        # state. Both vanish on the Smolin family.
+        "tau3_plus_tau4_roof": (
+            _Roof(lambda p: partial_trace(catalog.smolin(p), (0, 1, 2)), "three_tangle"),
+            _Roof(catalog.smolin, "e_ms"),
+        ),
+        "negativity_avg": _smolin_negativity_avg,
+        "e_ms_psi6": lambda p, cfg: measures.e_ms(catalog.psi6(p)),
+    },
+    # The wn_mix sweep parameter is the mixing weight alpha, at fixed N = 3.
+    "wn_mix": {
+        "concurrence_sum": _wn_pair_sum,
+        "one_tangle_roof_A1": (_Roof(lambda a: catalog.rho_wn_mix(3, a), "one_tangle"),),
+    },
 }
 
-FAMILY_COLUMNS: dict[str, dict[str, Callable[[float, RoofConfig], float]]] = {
-    "ghz_w": _GhzColumns,
-    "smolin": _SmolinColumns,
-    "wn_mix": _WnColumns,
+_ROOF_COLUMNS: dict[str, dict[str, tuple[_Roof, ...]]] = {
+    family: {name: col for name, col in table.items() if isinstance(col, tuple)}
+    for family, table in _TABLES.items()
+}
+
+
+def _total(values: list[float]) -> float:
+    """The sum of a column's roof terms, in order and with no 0 to start from."""
+    return sum(values[1:], values[0])
+
+
+def _roof_point(terms: tuple[_Roof, ...]) -> _PointColumn:
+    def column(x: float, cfg: RoofConfig) -> float:
+        return _total(
+            [roof_minimize(t.state(x), t.measure, cfg, partition=t.partition).value for t in terms]
+        )
+
+    return column
+
+
+# Every column as a function of one grid point. run_sweep evaluates the roof
+# columns from their terms instead, one batched search per term over the grid.
+FAMILY_COLUMNS: dict[str, dict[str, _PointColumn]] = {
+    family: {
+        name: _roof_point(col) if isinstance(col, tuple) else col
+        for name, col in table.items()
+    }
+    for family, table in _TABLES.items()
 }
 
 
@@ -122,15 +152,28 @@ class SweepSpec:
 
 
 def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
-    """Evaluate the spec; returns (header, rows) ready for write_table."""
+    """Evaluate the spec; returns (header, rows) ready for write_table.
+
+    Each roof term of a column is one roof_minimize_many call over the whole
+    grid; the values equal the per-point FAMILY_COLUMNS calls bit for bit.
+    """
+    grid = [float(x) for x in spec.grid()]
+    roofs = _ROOF_COLUMNS[spec.family]
     columns = FAMILY_COLUMNS[spec.family]
+    values: dict[str, list[float]] = {}
+    for name in spec.measures:
+        if name in roofs:
+            terms = [
+                roof_minimize_many(
+                    [t.state(x) for x in grid], t.measure, spec.roof_config, partition=t.partition
+                )
+                for t in roofs[name]
+            ]
+            values[name] = [_total([r.value for r in point]) for point in zip(*terms)]
+        else:
+            values[name] = [float(columns[name](x, spec.roof_config)) for x in grid]
     header = ["param"] + list(spec.measures)
-    rows = []
-    for x in spec.grid():
-        row = [float(x)]
-        for name in spec.measures:
-            row.append(float(columns[name](float(x), spec.roof_config)))
-        rows.append(row)
+    rows = [[x] + [values[name][i] for name in spec.measures] for i, x in enumerate(grid)]
     return header, rows
 
 
@@ -150,7 +193,7 @@ def run_surface(steps: int = 41) -> tuple[list[str], list[list[float]]]:
 def preset_spec(name: str, config: RoofConfig) -> SweepSpec:
     """The fig1/fig3 sweep presets (fig2 is the surface, not a SweepSpec)."""
     if name == "fig1":
-        return SweepSpec("ghz_w", 0.0, 1.0, 101, tuple(_GhzColumns), config)
+        return SweepSpec("ghz_w", 0.0, 1.0, 101, tuple(FAMILY_COLUMNS["ghz_w"]), config)
     if name == "fig3":
-        return SweepSpec("smolin", 0.0, 1.0, 101, tuple(_SmolinColumns), config)
+        return SweepSpec("smolin", 0.0, 1.0, 101, tuple(FAMILY_COLUMNS["smolin"]), config)
     raise StateError(f"unknown sweep preset {name!r}")

@@ -19,6 +19,7 @@ from qtangle import (
     rho_ghz_w,
     rho_wn_mix,
     roof_minimize,
+    roof_minimize_many,
     smolin,
     three_tangle_pure,
     w,
@@ -204,19 +205,37 @@ def test_roof_reports_reachable_average():
     res.ensemble.check_mixture(rho_abd(0.5))
 
 
-def test_roof_matches_losu_exact_roof():
+FIG1_GRID = [float(p) for p in np.linspace(0.0, 1.0, 11)]
+
+
+@pytest.fixture(scope="module")
+def fig1_roofs():
+    """Per-point roof_minimize results on the 11-point fig1 grid, computed
+    once per (measure, seed)."""
+    cache: dict[tuple[str, int], list] = {}
+
+    def roofs(measure: str, seed: int) -> list:
+        if (measure, seed) not in cache:
+            cfg = RoofConfig(seed=seed)
+            cache[measure, seed] = [roof_minimize(rho_ghz_w(p), measure, cfg) for p in FIG1_GRID]
+        return cache[measure, seed]
+
+    return roofs
+
+
+def test_roof_matches_losu_exact_roof(fig1_roofs):
     # The fig1 three-tangle column: zero region, convex-hull region and the
     # linear tail of the exact GHZ/W roof, plus a point just below p1.
-    for p in [*np.linspace(0.0, 1.0, 11), 0.62]:
-        value = roof_minimize(rho_ghz_w(float(p)), "three_tangle").value
-        assert -1e-12 <= value - losu_tau3_roof(float(p)) <= 2e-8, p
+    values = [r.value for r in fig1_roofs("three_tangle", 0)]
+    values.append(roof_minimize(rho_ghz_w(0.62), "three_tangle").value)
+    for p, value in zip([*FIG1_GRID, 0.62], values):
+        assert -1e-12 <= value - losu_tau3_roof(p) <= 2e-8, p
 
 
-def test_roof_matches_exact_ghz_w_one_tangle_roof():
+def test_roof_matches_exact_ghz_w_one_tangle_roof(fig1_roofs):
     # The fig1 one-tangle column against Osborne's exact rank-2 roof.
-    for p in np.linspace(0.0, 1.0, 11):
-        value = roof_minimize(rho_ghz_w(float(p)), "one_tangle", partition=(0,)).value
-        assert -1e-12 <= value - ghz_w_one_tangle_roof(float(p)) <= 1e-9, p
+    for p, res in zip(FIG1_GRID, fig1_roofs("one_tangle", 0)):
+        assert -1e-12 <= res.value - ghz_w_one_tangle_roof(p) <= 1e-9, p
 
 
 def test_rank2_one_tangle_oracle_reproduces_exact_references():
@@ -304,7 +323,7 @@ def test_roof_stages(monkeypatch, state, measure, cfg, sizes, winner):
 
     def recorded_polish(*args):
         out = polish(*args)
-        values.append(out[0])
+        values.extend(cost for cost, _ in out)
         return out
 
     monkeypatch.setattr(roof_module, "_draw_isometries", recorded_draw)
@@ -317,6 +336,72 @@ def test_roof_stages(monkeypatch, state, measure, cfg, sizes, winner):
     else:
         assert res.value <= 1e-8
     res.ensemble.check_mixture(state)
+
+
+def _assert_same_roofs(batch, single):
+    assert len(batch) == len(single)
+    for a, b in zip(batch, single):
+        assert a.value == b.value
+        assert len(a.ensemble.members) == len(b.ensemble.members)
+        for (pa, sa), (pb, sb) in zip(a.ensemble.members, b.ensemble.members):
+            assert pa == pb
+            assert np.array_equal(sa.amplitudes, sb.amplitudes)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("measure", ["three_tangle", "one_tangle"])
+def test_roof_minimize_many_matches_single_roofs_on_fig1_grid(fig1_roofs, measure, seed):
+    rhos = [rho_ghz_w(p) for p in FIG1_GRID]
+    batch = roof_minimize_many(rhos, measure, RoofConfig(seed=seed))
+    _assert_same_roofs(batch, fig1_roofs(measure, seed))
+    for res, rho in zip(batch, rhos):
+        res.ensemble.check_mixture(rho)
+
+
+def test_roof_minimize_many_runs_one_loop_per_stage_and_size(monkeypatch):
+    # A rank-1 state, a spectral exit, two rank-2 states at m = 4 and _RANK3
+    # through both stages (m = 3, then m = 6), in one batch.
+    states = [
+        ghz(3).density(),
+        partial_trace(smolin(0.8), (0, 1, 2)),
+        rho_ghz_w(0.5),
+        _RANK3,
+        rho_ghz_w(0.3),
+    ]
+    cfg = RoofConfig(**_RANK3_LIGHT, seed=1)
+    loops: list[tuple[int, int]] = []
+    polish = roof_module._polish
+
+    def recorded_polish(starts, m, fn, config):
+        loops.append((m, len(starts)))
+        return polish(starts, m, fn, config)
+
+    monkeypatch.setattr(roof_module, "_polish", recorded_polish)
+    batch = roof_minimize_many(states, "three_tangle", cfg)
+    assert loops == [(3, 1), (4, 2), (6, 1)]
+    loops.clear()
+    _assert_same_roofs(batch, [roof_minimize(rho, "three_tangle", cfg) for rho in states])
+    assert loops == [(4, 1), (3, 1), (6, 1), (4, 1)]
+    assert batch[3].value > 1e-2
+
+
+@pytest.mark.parametrize("size", [None, 4])
+def test_roof_minimize_many_matches_single_e_ms_roofs(size):
+    cfg = RoofConfig(max_ensemble_size=size)
+    states = [smolin(0.85), smolin(0.7), smolin(0.0)]
+    batch = roof_minimize_many(states, "e_ms", cfg)
+    _assert_same_roofs(batch, [roof_minimize(rho, "e_ms", cfg) for rho in states])
+    assert max(r.value for r in batch) <= 1e-8
+
+
+def test_roof_minimize_many_edges():
+    assert roof_minimize_many([], "three_tangle") == []
+    with pytest.raises(StateError, match="register size"):
+        roof_minimize_many([rho_ghz_w(0.5), smolin(0.5)], "one_tangle", LIGHT)
+    with pytest.raises(StateError, match="exceeds the ensemble-size cap"):
+        roof_minimize_many(
+            [ghz(3).density(), rho_abd(0.5)], "three_tangle", RoofConfig(max_ensemble_size=1)
+        )
 
 
 @pytest.mark.parametrize(

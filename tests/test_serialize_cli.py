@@ -1,8 +1,11 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qtangle import (
     DensityMatrix,
@@ -15,9 +18,9 @@ from qtangle import (
     rho_ghz_w,
     save_state,
 )
-from qtangle.cli import _load_config, main
+from qtangle.cli import _CONFIG_KEYS, _load_config, main
 from qtangle.serialize import format_number, write_table
-from qtangle.sweep import SweepSpec, preset_spec, run_surface, run_sweep
+from qtangle.sweep import FAMILY_COLUMNS, SweepSpec, preset_spec, run_surface, run_sweep
 from qtangle.verification import CheckRow, VerifyReport
 
 from helpers import random_density, random_state
@@ -137,6 +140,21 @@ def test_run_sweep_endpoints():
     assert abs(p1_row[1]) < 1e-12 and abs(p1_row[2] - 0.75) < 1e-12
 
 
+@pytest.mark.parametrize("family", sorted(FAMILY_COLUMNS))
+def test_run_sweep_rows_equal_per_point_columns(family):
+    # run_sweep batches each roof column over the grid; every value must be
+    # the per-point column call's, bit for bit.
+    cfg = RoofConfig(restarts=4, max_iterations=120)
+    spec = SweepSpec(family, 0.0, 1.0, 5, tuple(FAMILY_COLUMNS[family]), cfg)
+    header, rows = run_sweep(spec)
+    assert header == ["param", *FAMILY_COLUMNS[family]]
+    expect = [
+        [x] + [float(fn(x, cfg)) for fn in FAMILY_COLUMNS[family].values()]
+        for x in (float(x) for x in spec.grid())
+    ]
+    assert rows == expect
+
+
 def test_run_surface_shape():
     header, rows = run_surface(3)
     assert header == ["alpha", "p", "tau3"]
@@ -250,6 +268,78 @@ def test_cli_usage_errors(tmp_path, capsys):
         main(["sweep", "--family", "wn_mix", "--config", str(unknown), "--out", out])
         == 2
     )
+
+
+_COUNT_FLOORS = {"restarts": 1, "max_iterations": 0, "seed": 0, "max_ensemble_size": 1}
+
+
+def _expected_config(data: dict) -> RoofConfig | None:
+    """The RoofConfig a config object must load as, or None if it must be refused."""
+    for key, value in data.items():
+        if key == "objective_tolerance":
+            if type(value) not in (int, float) or not 0 <= value < math.inf:
+                return None
+        elif key == "max_ensemble_size" and value is None:
+            continue
+        elif key not in _COUNT_FLOORS or type(value) is not int or value < _COUNT_FLOORS[key]:
+            return None
+    return RoofConfig(**data)
+
+
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=2**40),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+
+
+_VALID_CONFIGS = st.fixed_dictionaries(
+    {},
+    optional={
+        "restarts": st.integers(min_value=1, max_value=2**40),
+        "max_ensemble_size": st.none() | st.integers(min_value=1, max_value=64),
+        "objective_tolerance": st.integers(min_value=0, max_value=3)
+        | st.floats(min_value=0.0, allow_infinity=False),
+        "max_iterations": st.integers(min_value=0, max_value=2**40),
+        "seed": st.integers(min_value=0, max_value=2**70),
+    },
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    _VALID_CONFIGS
+    | st.dictionaries(
+        st.sampled_from([*_CONFIG_KEYS, "population", "Seed"]), _JSON_VALUES, max_size=5
+    )
+)
+@example({"objective_tolerance": float("nan")})
+@example({"objective_tolerance": -1e-8})
+@example({"max_ensemble_size": None, "objective_tolerance": 0})
+@example({"restarts": 3.0})
+@example({"seed": True})
+def test_config_json_loads_or_exits_2(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "config.json"
+    path.write_text(json.dumps(data))
+    expect = _expected_config(data)
+    if expect is not None:
+        assert _load_config(str(path), None) == expect
+        return
+    # Two spectral-exit points, so a wrongly accepted config ends quickly.
+    out = str(tmp_path_factory.getbasetemp() / "refused.csv")
+    argv = ["sweep", "--family", "wn_mix", "--steps", "2", "--config", str(path), "--out", out]
+    assert main(argv) == 2
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '"restarts"', "null"])
+def test_config_json_must_be_an_object(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["verify", "--config", str(path)]) == 2
 
 
 def test_readme_config_example_loads_as_defaults(tmp_path):
