@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import DensityMatrix, StateError, StateVector, is_integer, partial_trace
+from .states import DensityMatrix, StateError, StateVector, check_unit, is_integer, partial_trace
 
 __all__ = [
     "ghz",
@@ -25,13 +25,6 @@ __all__ = [
     "rho_wn_mix",
     "psi_n1",
 ]
-
-
-def _check_range(name: str, value: float, lo: float, hi: float) -> float:
-    value = float(value)
-    if not (lo <= value <= hi):
-        raise StateError(f"{name}={value!r} outside [{lo}, {hi}]")
-    return value
 
 
 def _check_n(n: int, lo: int, hi: int) -> int:
@@ -79,7 +72,7 @@ def bell(index: int) -> StateVector:
 
 def rho_ghz_w(p: float) -> DensityMatrix:
     """Rank-2 mixture p*|GHZ><GHZ| + (1-p)*|W><W| on three qubits."""
-    p = _check_range("p", p, 0.0, 1.0)
+    p = check_unit("p", p)
     g = ghz(3).amplitudes
     ww = w(3).amplitudes
     mat = p * np.outer(g, g.conj()) + (1.0 - p) * np.outer(ww, ww.conj())
@@ -93,7 +86,7 @@ _GHZ3_1 = np.kron(ghz(3).amplitudes, np.array([0.0, 1.0], dtype=complex))
 
 def psi4(p: float) -> StateVector:
     """Four-qubit purification sqrt(1-p)|W>|0> + sqrt(p)|GHZ>|1>, qubit order A,B,C,D."""
-    p = _check_range("p", p, 0.0, 1.0)
+    p = check_unit("p", p)
     return StateVector(np.sqrt(1.0 - p) * _W3_0 + np.sqrt(p) * _GHZ3_1, 4)
 
 
@@ -107,7 +100,7 @@ def abd_components(p: float) -> tuple[float, StateVector, StateVector]:
     weight = (2+p)/6, first = sqrt(1-a)|000> + sqrt(a)|111> with a = 3p/(2+p),
     and second = sqrt(b)|001> + sqrt((1-b)/2)(|010> + |100>) with b = 3p/(4-p).
     """
-    p = _check_range("p", p, 0.0, 1.0)
+    p = check_unit("p", p)
     # Conditional branches of psi4 on qubit C (position 2): C=1 collects the
     # |111> part of GHZ and the W excitation sitting on C; C=0 the rest.
     t = psi4(p).amplitudes.reshape(2, 2, 2, 2)
@@ -122,7 +115,7 @@ def abd_components(p: float) -> tuple[float, StateVector, StateVector]:
 def phi_abd(alpha: float, p: float, phi: float) -> StateVector:
     """Superposition sqrt(alpha)|first> - e^{i phi} sqrt(1-alpha)|second> of the
     two principal components from :func:`abd_components`."""
-    alpha = _check_range("alpha", alpha, 0.0, 1.0)
+    alpha = check_unit("alpha", alpha)
     phi = float(phi)
     if not np.isfinite(phi):
         raise StateError(f"phi must be finite, got {phi!r}")
@@ -146,7 +139,7 @@ def smolin(p: float) -> DensityMatrix:
     equally weighted mixture. Invariant under swapping A with B, C with D, and
     the AB pair with the CD pair.
     """
-    p = _check_range("p", p, 0.0, 1.0)
+    p = check_unit("p", p)
     weights = (p / 4.0, p / 4.0, p / 4.0, 1.0 - 3.0 * p / 4.0)
     mat = np.zeros((16, 16), dtype=complex)
     for k, wk in enumerate(weights):
@@ -162,7 +155,7 @@ def psi6(p: float) -> StateVector:
     both AB and CD; coefficients are sqrt(p/4) on the first three and
     sqrt(1-3p/4) on |11>_EF.
     """
-    p = _check_range("p", p, 0.0, 1.0)
+    p = check_unit("p", p)
     coeffs = (np.sqrt(p / 4.0),) * 3 + (np.sqrt(1.0 - 3.0 * p / 4.0),)
     amps = np.zeros(64, dtype=complex)
     for k, ck in enumerate(coeffs):
@@ -175,7 +168,7 @@ def psi6(p: float) -> StateVector:
 def rho_wn_mix(n: int, alpha: float) -> DensityMatrix:
     """Rank-2 mixture alpha*|1...1><1...1| + (1-alpha)*|W_n><W_n| on n qubits."""
     n = _check_n(n, 2, 9)
-    alpha = _check_range("alpha", alpha, 0.0, 1.0)
+    alpha = check_unit("alpha", alpha)
     ones = np.zeros(2**n, dtype=complex)
     ones[-1] = 1.0
     wn = w(n).amplitudes
@@ -186,7 +179,7 @@ def rho_wn_mix(n: int, alpha: float) -> DensityMatrix:
 def psi_n1(n: int, alpha: float) -> StateVector:
     """(n+1)-qubit purification sqrt(alpha)|1^(n+1)> + sqrt(1-alpha)|W_n>|0>."""
     n = _check_n(n, 2, 9)
-    alpha = _check_range("alpha", alpha, 0.0, 1.0)
+    alpha = check_unit("alpha", alpha)
     e0 = np.array([1.0, 0.0], dtype=complex)
     e1 = np.array([0.0, 1.0], dtype=complex)
     ones = np.zeros(2**n, dtype=complex)

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 check or write failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -24,16 +25,6 @@ __all__ = ["main"]
 class _UsageError(Exception):
     pass
 
-
-# The JSON types each config key takes. A bool is never accepted, although
-# Python counts it as an int.
-_CONFIG_KEYS: dict[str, tuple[type, ...]] = {
-    "restarts": (int,),
-    "max_ensemble_size": (int, type(None)),
-    "objective_tolerance": (int, float),
-    "max_iterations": (int,),
-    "seed": (int,),
-}
 
 _STATE_FAMILIES: dict[str, tuple[Callable, tuple[Callable, ...]]] = {
     "ghz": (catalog.ghz, (int,)),
@@ -90,12 +81,12 @@ def _load_config(path: str | None, seed: int | None) -> RoofConfig:
             raise _UsageError(f"malformed config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise _UsageError(f"config {path} must hold a JSON object")
-        for key, value in data.items():
-            if key not in _CONFIG_KEYS:
+        # RoofConfig refuses each bad value with a StateError naming its key.
+        known = {field.name for field in dataclasses.fields(RoofConfig)}
+        for key in data:
+            if key not in known:
                 raise _UsageError(f"unknown config key {key!r}")
-            if isinstance(value, bool) or not isinstance(value, _CONFIG_KEYS[key]):
-                raise _UsageError(f"config key {key!r} does not take {json.dumps(value)}")
-            kwargs[key] = value
+        kwargs.update(data)
     if seed is not None:
         kwargs["seed"] = seed
     return RoofConfig(**kwargs)

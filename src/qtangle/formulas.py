@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import catalog, measures
-from .states import StateError, is_integer
+from .states import StateError, check_unit, is_integer
 
 __all__ = [
     "ClosedFormResult",
@@ -45,16 +45,9 @@ class ClosedFormResult:
         object.__setattr__(self, "discrepancy_flag", flag)
 
 
-def _check_unit(p: float, name: str = "p") -> float:
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise StateError(f"{name} must lie in [0, 1], got {p!r}")
-    return p
-
-
 def c_ab_sq_ghzw(p: float) -> float:
     """Squared pair concurrence of the two-qubit reduction of the GHZ/W mixture."""
-    p = _check_unit(p)
+    p = check_unit("p", p)
     bracket = (2.0 / 3.0) * (1.0 - p) - math.sqrt(p * (2.0 + p) / 3.0)
     return max(0.0, bracket) ** 2
 
@@ -66,8 +59,8 @@ def p0() -> float:
 
 def tau3_family(alpha: float, p: float, phi: float) -> float:
     """Three-tangle of the two-branch superposition family phi_abd(alpha, p, phi)."""
-    alpha = _check_unit(alpha, "alpha")
-    p = _check_unit(p)
+    alpha = check_unit("alpha", alpha)
+    p = check_unit("p", p)
     if not math.isfinite(phi):
         raise StateError(f"phi must be finite, got {phi!r}")
     f1 = 6.0 * alpha**2 * p * (1.0 - p) / (2.0 + p) ** 2
@@ -82,7 +75,7 @@ def tau3_family(alpha: float, p: float, phi: float) -> float:
 
 def alpha0(p: float) -> float:
     """Branch weight at which tau3_family vanishes for phases 2*k*pi/3."""
-    p = _check_unit(p)
+    p = check_unit("p", p)
     return 1.0 / (1.0 + (6.0 / (2.0 + p) - 1.0) / (2.0 * 2.0 ** (1.0 / 3.0)))
 
 
@@ -90,7 +83,7 @@ def alpha0(p: float) -> float:
 # contradicts on the whole interval. Kept verbatim: the mismatch is the point.
 def e_ms_psi4_closed(p: float) -> ClosedFormResult:
     """Closed-form multipartite entanglement of psi4(p), next to the direct value."""
-    p = _check_unit(p)
+    p = check_unit("p", p)
     if p <= p0():
         printed = 3.0 * p * (2.0 - 3.0 * p) / 4.0 + 2.0 * (1.0 - p) * math.sqrt(
             p * (2.0 - p)
@@ -113,13 +106,13 @@ def p1() -> float:
 
 def c_ab_sq_smolin(p: float) -> float:
     """Squared pair concurrence of any two-qubit reduction of smolin(p)."""
-    p = _check_unit(p)
+    p = check_unit("p", p)
     return max(0.0, 1.0 - 3.0 * p / 2.0) ** 2
 
 
 def e_ms_psi6_closed(p: float) -> ClosedFormResult:
     """Closed-form multipartite entanglement of psi6(p), next to the direct value."""
-    p = _check_unit(p)
+    p = check_unit("p", p)
     if p <= 2.0 / 3.0:
         printed = 5.0 * p * (1.0 - p) / 3.0
     else:
@@ -141,7 +134,7 @@ def abd_excitation_weight(p: float) -> ClosedFormResult:
     The direct value reads the weight off the branch state itself, as built by
     catalog.abd_components.
     """
-    p = _check_unit(p)
+    p = check_unit("p", p)
     printed = 3.0 * p / (2.0 - p)
     _, first, _ = catalog.abd_components(p)
     direct = float(abs(first.amplitudes[7]) ** 2)

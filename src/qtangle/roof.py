@@ -19,22 +19,26 @@ degenerate cluster, block-diagonal draws that keep each cluster's members inside
 its own eigenspace; degenerate states (where the eigenbasis is arbitrary inside
 a cluster) are exactly the ones whose optima need that alignment.
 
-The search has up to two stages, each a full draw-and-polish run. When the
-rank r is at least 3 and the ensemble size m exceeds it, the first stage
-polishes ensembles of r members and ends the search if it reaches the
-tolerance: zero roofs, such as the e_ms roof of the Smolin-type mixtures, get
-there far sooner with r members than with m. Otherwise the second stage runs
-at m, exactly as a single-stage search would, and the lower of the two values
-wins, so the first stage never raises a roof. At rank 2 only the m stage runs.
+Each state keeps one running best, which starts as its spectral ensemble
+(the scaled eigenbasis). The search then runs up to two stages, each a full
+draw-and-polish run, and a stage runs only while the best is still above the
+tolerance. When the rank r is at least 3 and the ensemble size m exceeds it,
+the first stage polishes ensembles of r members: zero roofs, such as the e_ms
+roof of the Smolin-type mixtures, get there far sooner with r members than
+with m. The second stage runs at m, exactly as a single-stage search would.
+At rank 2 only the m stage runs, and at rank 1 none. A stage's ensemble
+replaces the best only when its cost is strictly lower, so no stage raises a
+roof, and ties go to the spectral ensemble, then to the m = r stage, then to
+the m stage; within a stage they go to the lowest restart index.
 
 ``roof_minimize_many`` searches several states of one register size at once:
 each stage polishes the restarts of all its states in one lockstep loop per
 ensemble size, which pays the per-step NumPy overhead once for the batch
 instead of once per state. The stops stay per state: the tolerance, the
 seven-rejection rule and the pace rule each read that state's own restarts,
-and a state reaches the second stage only if its own first stage missed the
-tolerance. Every restart's arithmetic is independent of the others in its
-kernel calls, so each roof is bit-identical to a search of its state alone;
+and a state enters a stage only if its own best is above the tolerance.
+Every restart's arithmetic is independent of the others in its kernel calls,
+so each roof is bit-identical to a search of its state alone;
 ``roof_minimize`` is the one-state case. The one exception is a singular
 damped system, which sends every restart of that step to the plain gradient
 step; with the damping on its diagonal it has not been seen to occur.
@@ -49,9 +53,13 @@ import numpy as np
 
 from . import _batched
 from .states import (
+    EIGENVALUE_FLOOR,
+    RANK_CUTOFF,
+    UNIT_ATOL,
     DensityMatrix,
     StateError,
     StateVector,
+    check_hermitian,
     check_subset,
     is_integer,
     partial_trace,
@@ -121,8 +129,8 @@ class DecompositionIsometry:
         if v.ndim != 2 or v.shape[0] < v.shape[1]:
             raise StateError("isometry needs shape (m, r) with m >= r")
         gram = v.conj().T @ v
-        if not np.allclose(gram, np.eye(v.shape[1]), atol=1e-10, rtol=0.0):
-            raise StateError("isometry columns are not orthonormal within 1e-10")
+        if not np.allclose(gram, np.eye(v.shape[1]), atol=UNIT_ATOL, rtol=0.0):
+            raise StateError(f"isometry columns are not orthonormal within {UNIT_ATOL}")
         v.setflags(write=False)
         object.__setattr__(self, "entries", v)
 
@@ -181,10 +189,9 @@ class PovmElement:
         op = np.asarray(self.operator, dtype=complex)
         if op.ndim != 2 or op.shape[0] != op.shape[1]:
             raise StateError("POVM element must be square")
-        if not np.allclose(op, op.conj().T, atol=1e-10, rtol=0.0):
-            raise StateError("POVM element is not Hermitian within 1e-10")
-        if float(np.linalg.eigvalsh(op)[0]) < -1e-10:
-            raise StateError("POVM element is not positive semidefinite within 1e-10")
+        check_hermitian(op, "POVM element")
+        if float(np.linalg.eigvalsh(op)[0]) < EIGENVALUE_FLOOR:
+            raise StateError(f"POVM element has an eigenvalue below {EIGENVALUE_FLOOR}")
         op.setflags(write=False)
         object.__setattr__(self, "operator", op)
 
@@ -485,13 +492,10 @@ def _polish(
             # budget, they would end more than the tolerance above it. The
             # leader always passes. Pace only extrapolates, and a restart on
             # a plateau can escape it later, so the margin is the tolerance
-            # the roof is judged by, not a multiple of the best. A floor of
-            # 10x the best never fires on a nonzero roof: once the best
-            # passes 0.1 it lies above every cost, and losing restarts crawl
-            # at the damping clip for the whole budget. On a zero roof the
-            # rule keeps restarts whose pace could still reach zero; some of
-            # them are the eventual winners. The best is the state's own;
-            # stopped states never move again, so the rule may touch them.
+            # the roof is judged by. On a zero roof the rule keeps restarts
+            # whose pace could still reach zero; some of them are the
+            # eventual winners. The best is the state's own; stopped states
+            # never move again, so the rule may touch them.
             pace = (snapshot - cost) / 8
             horizon = cfg.max_iterations - iterations
             best = np.repeat(cost.reshape(n_states, restarts).min(axis=1), restarts)
@@ -503,20 +507,6 @@ def _polish(
     return [(float(costs[s, k]), w[s * restarts + k]) for s, k in enumerate(winners)]
 
 
-def _polish_by_size(
-    starts: Sequence[tuple[np.ndarray, np.ndarray]],
-    sizes: Sequence[int],
-    fn: Callable[[np.ndarray], np.ndarray],
-    cfg: RoofConfig,
-) -> list[tuple[float, np.ndarray]]:
-    """_polish for every start at its own ensemble size, one loop per size."""
-    found: dict[int, tuple[float, np.ndarray]] = {}
-    for m in sorted(set(sizes)):
-        group = [i for i, size in enumerate(sizes) if size == m]
-        found.update(zip(group, _polish([starts[i] for i in group], m, fn, cfg)))
-    return [found[i] for i in range(len(starts))]
-
-
 def roof_minimize(
     rho: DensityMatrix,
     measure: str,
@@ -526,11 +516,16 @@ def roof_minimize(
 ) -> RoofResult:
     """Minimize the ensemble-averaged measure over pure-state decompositions.
 
-    Returns the lowest average found and the realizing ensemble. The value is an
-    upper bound on the true roof, never exceeds the spectral-ensemble average,
-    and is deterministic for a fixed config (restart streams are seeded from
-    (seed, restart index), and ties go to the lowest restart index, then to
-    the m = rank stage).
+    Returns the lowest average found and the realizing ensemble, whose
+    mixture is checked against rho. The search keeps a running best that
+    starts as the spectral ensemble; each stage (m = rank for ranks of 3 or
+    more below the ensemble size, then m) runs only while the best is above
+    ``objective_tolerance`` and replaces it only with a strictly lower cost.
+    So the value is an upper bound on the true roof, never exceeds the
+    spectral-ensemble average, and is deterministic for a fixed config:
+    restart streams are seeded from (seed, restart index), and ties go to
+    the spectral ensemble, then to the m = rank stage, then to the m stage,
+    and within a stage to the lowest restart index.
     """
     return roof_minimize_many([rho], measure, config, partition=partition)[0]
 
@@ -545,8 +540,9 @@ def roof_minimize_many(
     """roof_minimize for each state, with their searches polished together.
 
     The states must share one register size. Each stage runs one lockstep
-    loop per ensemble size over the states that reach it, and every result
-    is bit-identical to roof_minimize on its state alone.
+    loop per ensemble size, in ascending order, over the states whose best
+    is still above the tolerance, and every result is bit-identical to
+    roof_minimize on its state alone.
     """
     cfg = config or RoofConfig()
     rhos = list(rhos)
@@ -557,49 +553,42 @@ def roof_minimize_many(
         raise StateError("roof_minimize_many needs states of one register size")
     fn = _resolve_measure(measure, n, tuple(partition))
 
-    results: list[RoofResult | None] = [None] * len(rhos)
-    searched = []  # (index, spectral value, first-stage size, second-stage size or 0)
-    starts = []  # (scaled eigenbasis, eigenvalues) of each searched state
-    for k, rho in enumerate(rhos):
+    best = []  # (cost, member columns) of the lowest ensemble found so far
+    starts = []  # (scaled eigenbasis, eigenvalues)
+    stages = []  # the ensemble size of each stage, in order
+    for rho in rhos:
         spec = spectral_decomposition(rho)
         rank = spec.eigenvalues.shape[0]
         m = cfg.max_ensemble_size if cfg.max_ensemble_size is not None else min(2 * rank, 8)
         if rank > m:
             raise StateError(f"rank {rank} exceeds the ensemble-size cap {m}")
         base = spec.eigenvectors * np.sqrt(spec.eigenvalues)
-        spectral_value = float(_contributions(base, fn).sum())
-        if rank == 1 or spectral_value <= cfg.objective_tolerance:
-            results[k] = RoofResult(spectral_value, _ensemble_from_columns(base, n))
-            continue
+        best.append((float(_contributions(base, fn).sum()), base))
+        starts.append((base, spec.eigenvalues))
         # An ensemble of rank members has rank^2 - rank real freedoms (the
         # mixing unitary up to member phases). At rank 2 that is 2 against the
         # 4 real conditions for both members to sit on zeros of the
         # hyperdeterminant, so an m = 2 stage would only add cost. From rank 3
         # on the count no longer rules zero ensembles out, and zero roofs
         # reach the tolerance far sooner at m = rank than at m.
-        staged = 3 <= rank < m
-        searched.append((k, spectral_value, rank if staged else m, m if staged else 0))
-        starts.append((base, spec.eigenvalues))
+        stages.append(() if rank == 1 else (rank, m) if 3 <= rank < m else (m,))
 
-    found = _polish_by_size(starts, [first for _, _, first, _ in searched], fn, cfg)
-    wide = [
-        i for i, (_, _, _, size) in enumerate(searched)
-        if size and found[i][0] > cfg.objective_tolerance
-    ]
-    wide_found = _polish_by_size(
-        [starts[i] for i in wide], [searched[i][3] for i in wide], fn, cfg
-    )
-    for i, (wide_cost, wide_w) in zip(wide, wide_found):
-        if wide_cost < found[i][0]:
-            found[i] = (wide_cost, wide_w)
+    for stage in range(max(map(len, stages))):
+        due = [
+            k for k, sizes in enumerate(stages)
+            if len(sizes) > stage and best[k][0] > cfg.objective_tolerance
+        ]
+        for m in sorted({stages[k][stage] for k in due}):
+            group = [k for k in due if stages[k][stage] == m]
+            for k, found in zip(group, _polish([starts[k] for k in group], m, fn, cfg)):
+                if found[0] < best[k][0]:
+                    best[k] = found
 
-    for (k, spectral_value, _, _), (base, _), (cost, w) in zip(searched, starts, found):
-        if spectral_value <= cost:
-            results[k] = RoofResult(spectral_value, _ensemble_from_columns(base, n))
-            continue
-        ensemble = _ensemble_from_columns(w, n)
-        ensemble.check_mixture(rhos[k])
-        results[k] = RoofResult(cost, ensemble)
+    results = []
+    for rho, (cost, columns) in zip(rhos, best):
+        ensemble = _ensemble_from_columns(columns, n)
+        ensemble.check_mixture(rho)
+        results.append(RoofResult(cost, ensemble))
     return results
 
 
@@ -621,8 +610,8 @@ def measure_env_povm(
         if element.operator.shape[0] != dim_env:
             raise StateError("POVM element dimension does not match the environment")
         total = total + element.operator
-    if not np.allclose(total, np.eye(dim_env), atol=1e-10, rtol=0.0):
-        raise StateError("POVM elements do not sum to the identity within 1e-10")
+    if not np.allclose(total, np.eye(dim_env), atol=UNIT_ATOL, rtol=0.0):
+        raise StateError(f"POVM elements do not sum to the identity within {UNIT_ATOL}")
 
     # |psi> as a (system, environment) matrix, both in register order.
     t = _batched.qubits_first(psi.amplitudes[None], psi.n_qubits, system)[0]
@@ -630,7 +619,7 @@ def measure_env_povm(
     members = []
     for element in povm:
         vals, vecs = np.linalg.eigh(element.operator)
-        heavy = vals > 1e-10
+        heavy = vals > RANK_CUTOFF
         if int(heavy.sum()) > 1:
             raise StateError("mixed-unsupported: POVM element has rank above 1")
         if int(heavy.sum()) == 0:

@@ -53,6 +53,20 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_unit(name: str, value: float) -> float:
+    """``value`` as a float, which must lie in the unit interval [0, 1]."""
+    value = float(value)
+    if not (0.0 <= value <= 1.0):
+        raise StateError(f"{name}={value!r} outside [0, 1]")
+    return value
+
+
+def check_hermitian(mat: np.ndarray, what: str) -> None:
+    """Refuse a square matrix that differs from its adjoint by more than HERMITIAN_ATOL."""
+    if not np.allclose(mat, mat.conj().T, atol=HERMITIAN_ATOL, rtol=0.0):
+        raise StateError(f"{what} is not Hermitian within {HERMITIAN_ATOL}")
+
+
 def _check_count(n_qubits) -> None:
     if not is_integer(n_qubits):
         raise StateError(f"n_qubits must be an integer, got {n_qubits!r}")
@@ -131,8 +145,7 @@ class DensityMatrix:
         n = _infer_n_qubits(mat.shape[0], "density matrix")
         if n != self.n_qubits:
             raise StateError(f"dimension {mat.shape[0]} does not match n_qubits={self.n_qubits}")
-        if not np.allclose(mat, mat.conj().T, atol=HERMITIAN_ATOL, rtol=0.0):
-            raise StateError("density matrix is not Hermitian within 1e-10")
+        check_hermitian(mat, "density matrix")
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > UNIT_ATOL:
             raise StateError(f"trace {trace!r} is not 1 within {UNIT_ATOL}")
@@ -216,8 +229,7 @@ def trace_norm(matrix: np.ndarray) -> float:
     mat = np.asarray(matrix, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise StateError("trace_norm expects a square matrix")
-    if not np.allclose(mat, mat.conj().T, atol=HERMITIAN_ATOL, rtol=0.0):
-        raise StateError("trace_norm input is not Hermitian within 1e-10")
+    check_hermitian(mat, "trace_norm input")
     return float(np.sum(np.abs(np.linalg.eigvalsh(mat))))
 
 

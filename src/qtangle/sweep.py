@@ -2,9 +2,10 @@
 
 Each family exposes a fixed set of named columns; a sweep evaluates the
 requested ones over an even grid. A roof column is described once, by the
-roof terms it sums (state builder, measure, partition): ``run_sweep`` searches
-each term over the whole grid in one ``roof_minimize_many`` call, and the
-per-point function in ``FAMILY_COLUMNS`` is built from the same description.
+roof terms it sums (state builder, measure, partition), and evaluated by one
+function that searches each term in one ``roof_minimize_many`` call:
+``run_sweep`` calls it on the whole grid, and the per-point function in
+``FAMILY_COLUMNS`` on a one-point grid.
 The fig1/fig3 presets cover the mixing families' standard column sets on 101
 points, fig2 is the (alpha, p) surface of the closed-form family three-tangle
 on a 41x41 grid.
@@ -18,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import catalog, formulas, measures
-from .roof import RoofConfig, roof_minimize, roof_minimize_many
+from .roof import RoofConfig, roof_minimize_many
 from .states import DensityMatrix, StateError, is_integer, partial_trace
 
 __all__ = ["SweepSpec", "run_sweep", "run_surface", "preset_spec", "FAMILY_COLUMNS"]
@@ -89,31 +90,30 @@ _TABLES: dict[str, dict[str, _PointColumn | tuple[_Roof, ...]]] = {
     },
 }
 
-_ROOF_COLUMNS: dict[str, dict[str, tuple[_Roof, ...]]] = {
-    family: {name: col for name, col in table.items() if isinstance(col, tuple)}
-    for family, table in _TABLES.items()
-}
-
 
 def _total(values: list[float]) -> float:
     """The sum of a column's roof terms, in order and with no 0 to start from."""
     return sum(values[1:], values[0])
 
 
-def _roof_point(terms: tuple[_Roof, ...]) -> _PointColumn:
-    def column(x: float, cfg: RoofConfig) -> float:
-        return _total(
-            [roof_minimize(t.state(x), t.measure, cfg, partition=t.partition).value for t in terms]
-        )
+def _roof_column(terms: tuple[_Roof, ...], grid: list[float], cfg: RoofConfig) -> list[float]:
+    """A roof column over the grid: one roof_minimize_many call per term."""
+    per_term = [
+        roof_minimize_many([t.state(x) for x in grid], t.measure, cfg, partition=t.partition)
+        for t in terms
+    ]
+    return [_total([r.value for r in point]) for point in zip(*per_term)]
 
-    return column
 
-
-# Every column as a function of one grid point. run_sweep evaluates the roof
-# columns from their terms instead, one batched search per term over the grid.
+# Every column as a function of one grid point; a roof column is its search on
+# a one-point grid. run_sweep evaluates the roof columns on the whole grid.
 FAMILY_COLUMNS: dict[str, dict[str, _PointColumn]] = {
     family: {
-        name: _roof_point(col) if isinstance(col, tuple) else col
+        name: (
+            (lambda x, cfg, terms=col: _roof_column(terms, [x], cfg)[0])
+            if isinstance(col, tuple)
+            else col
+        )
         for name, col in table.items()
     }
     for family, table in _TABLES.items()
@@ -158,18 +158,12 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
     grid; the values equal the per-point FAMILY_COLUMNS calls bit for bit.
     """
     grid = [float(x) for x in spec.grid()]
-    roofs = _ROOF_COLUMNS[spec.family]
+    table = _TABLES[spec.family]
     columns = FAMILY_COLUMNS[spec.family]
     values: dict[str, list[float]] = {}
     for name in spec.measures:
-        if name in roofs:
-            terms = [
-                roof_minimize_many(
-                    [t.state(x) for x in grid], t.measure, spec.roof_config, partition=t.partition
-                )
-                for t in roofs[name]
-            ]
-            values[name] = [_total([r.value for r in point]) for point in zip(*terms)]
+        if isinstance(table[name], tuple):
+            values[name] = _roof_column(table[name], grid, spec.roof_config)
         else:
             values[name] = [float(columns[name](x, spec.roof_config)) for x in grid]
     header = ["param"] + list(spec.measures)

@@ -74,8 +74,10 @@ def _criterion_1(cfg: RoofConfig) -> CheckRow:
     # the bound of criteria 4 and 5) just below it, clearly nonzero just above.
     p1 = formulas.p1()
     ok = ok and abs(p1 - 0.6269) <= 5e-5
-    ok = ok and roof_minimize(catalog.rho_ghz_w(p1 - 0.01), "three_tangle", cfg).value <= 1e-6
-    ok = ok and roof_minimize(catalog.rho_ghz_w(p1 + 0.01), "three_tangle", cfg).value > 1e-4
+    below, above = roof_minimize_many(
+        [catalog.rho_ghz_w(p1 - 0.01), catalog.rho_ghz_w(p1 + 0.01)], "three_tangle", cfg
+    )
+    ok = ok and below.value <= 1e-6 and above.value > 1e-4
     return _row("criterion_1", ok, 0.2918, p0, 5e-5)
 
 

@@ -385,6 +385,24 @@ def test_roof_minimize_many_runs_one_loop_per_stage_and_size(monkeypatch):
     assert batch[3].value > 1e-2
 
 
+def test_roof_minimize_many_checks_every_mixture(monkeypatch):
+    # Spectral exits (the rank-1 state and the reduction of smolin(0.8))
+    # included: each returned ensemble is checked against its state once.
+    states = [ghz(3).density(), partial_trace(smolin(0.8), (0, 1, 2)), rho_ghz_w(0.5), _RANK3]
+    checked: list[tuple[Ensemble, object]] = []
+    check = Ensemble.check_mixture
+
+    def recorded_check(self, rho, *args, **kwargs):
+        checked.append((self, rho))
+        return check(self, rho, *args, **kwargs)
+
+    monkeypatch.setattr(Ensemble, "check_mixture", recorded_check)
+    batch = roof_minimize_many(states, "three_tangle", RoofConfig(**_RANK3_LIGHT, seed=1))
+    assert len(checked) == len(states)
+    for (ensemble, rho), res, state in zip(checked, batch, states):
+        assert ensemble is res.ensemble and rho is state
+
+
 @pytest.mark.parametrize("size", [None, 4])
 def test_roof_minimize_many_matches_single_e_ms_roofs(size):
     cfg = RoofConfig(max_ensemble_size=size)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -18,7 +19,7 @@ from qtangle import (
     rho_ghz_w,
     save_state,
 )
-from qtangle.cli import _CONFIG_KEYS, _load_config, main
+from qtangle.cli import _load_config, main
 from qtangle.serialize import format_number, write_table
 from qtangle.sweep import FAMILY_COLUMNS, SweepSpec, preset_spec, run_surface, run_sweep
 from qtangle.verification import CheckRow, VerifyReport
@@ -251,25 +252,29 @@ def test_cli_usage_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["sweep", "--family", "wn_mix", "--config", str(bad), "--out", out]) == 2
-    for text in (
-        '{"objective_tolerance": NaN}',
-        '{"max_iterations": -5}',
-        '{"restarts": 3.7}',
-        '{"seed": true}',
-        '{"max_iterations": "7"}',
+    for key, text in (
+        ("objective_tolerance", '{"objective_tolerance": NaN}'),
+        ("max_iterations", '{"max_iterations": -5}'),
+        ("restarts", '{"restarts": 3.7}'),
+        ("seed", '{"seed": true}'),
+        ("max_iterations", '{"max_iterations": "7"}'),
+        ("max_ensemble_size", '{"seed": 1, "max_ensemble_size": []}'),
     ):
         invalid = tmp_path / "invalid.json"
         invalid.write_text(text)
         assert main(["verify", "--config", str(invalid)]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
     unknown = tmp_path / "unknown.json"
     unknown.write_text('{"population": 3}')
     assert (
         main(["sweep", "--family", "wn_mix", "--config", str(unknown), "--out", out])
         == 2
     )
+    assert "'population'" in capsys.readouterr().err
 
 
+_CONFIG_FIELDS = [field.name for field in dataclasses.fields(RoofConfig)]
 _COUNT_FLOORS = {"restarts": 1, "max_iterations": 0, "seed": 0, "max_ensemble_size": 1}
 
 
@@ -314,7 +319,7 @@ _VALID_CONFIGS = st.fixed_dictionaries(
 @given(
     _VALID_CONFIGS
     | st.dictionaries(
-        st.sampled_from([*_CONFIG_KEYS, "population", "Seed"]), _JSON_VALUES, max_size=5
+        st.sampled_from([*_CONFIG_FIELDS, "population", "Seed"]), _JSON_VALUES, max_size=5
     )
 )
 @example({"objective_tolerance": float("nan")})
