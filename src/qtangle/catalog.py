@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import DensityMatrix, StateError, StateVector, check_unit, is_integer, partial_trace
+from .states import DensityMatrix, StateVector, check_int, check_real, check_unit, partial_trace
 
 __all__ = [
     "ghz",
@@ -27,18 +27,9 @@ __all__ = [
 ]
 
 
-def _check_n(n: int, lo: int, hi: int) -> int:
-    if not is_integer(n):
-        raise StateError(f"n must be an integer, got {n!r}")
-    n = int(n)
-    if not (lo <= n <= hi):
-        raise StateError(f"n={n} outside supported range [{lo}, {hi}]")
-    return n
-
-
 def ghz(n: int) -> StateVector:
     """(|0...0> + |1...1>)/sqrt(2) on n qubits."""
-    n = _check_n(n, 2, 10)
+    n = check_int("n", n, 2, 10)
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
     return StateVector(amps, n)
@@ -46,7 +37,7 @@ def ghz(n: int) -> StateVector:
 
 def w(n: int) -> StateVector:
     """Equal superposition of all single-excitation basis states on n qubits."""
-    n = _check_n(n, 2, 10)
+    n = check_int("n", n, 2, 10)
     amps = np.zeros(2**n, dtype=complex)
     for k in range(n):
         amps[1 << k] = 1.0 / np.sqrt(n)
@@ -61,9 +52,7 @@ _BELL_SUPPORT = {0: (0, 3, 1.0), 1: (0, 3, -1.0), 2: (1, 2, 1.0), 3: (1, 2, -1.0
 
 def bell(index: int) -> StateVector:
     """One of the four Bell pairs; see the module-level index convention."""
-    if not is_integer(index) or int(index) not in _BELL_SUPPORT:
-        raise StateError(f"bell index must be an integer in 0..3, got {index!r}")
-    i, j, sign = _BELL_SUPPORT[int(index)]
+    i, j, sign = _BELL_SUPPORT[check_int("bell index", index, 0, 3)]
     amps = np.zeros(4, dtype=complex)
     amps[i] = 1.0 / np.sqrt(2.0)
     amps[j] = sign / np.sqrt(2.0)
@@ -116,9 +105,7 @@ def phi_abd(alpha: float, p: float, phi: float) -> StateVector:
     """Superposition sqrt(alpha)|first> - e^{i phi} sqrt(1-alpha)|second> of the
     two principal components from :func:`abd_components`."""
     alpha = check_unit("alpha", alpha)
-    phi = float(phi)
-    if not np.isfinite(phi):
-        raise StateError(f"phi must be finite, got {phi!r}")
+    phi = check_real("phi", phi, -np.inf, np.inf)
     _, first, second = abd_components(p)
     amps = np.sqrt(alpha) * first.amplitudes - np.exp(1j * phi) * np.sqrt(
         1.0 - alpha
@@ -167,7 +154,7 @@ def psi6(p: float) -> StateVector:
 
 def rho_wn_mix(n: int, alpha: float) -> DensityMatrix:
     """Rank-2 mixture alpha*|1...1><1...1| + (1-alpha)*|W_n><W_n| on n qubits."""
-    n = _check_n(n, 2, 9)
+    n = check_int("n", n, 2, 9)
     alpha = check_unit("alpha", alpha)
     ones = np.zeros(2**n, dtype=complex)
     ones[-1] = 1.0
@@ -178,7 +165,7 @@ def rho_wn_mix(n: int, alpha: float) -> DensityMatrix:
 
 def psi_n1(n: int, alpha: float) -> StateVector:
     """(n+1)-qubit purification sqrt(alpha)|1^(n+1)> + sqrt(1-alpha)|W_n>|0>."""
-    n = _check_n(n, 2, 9)
+    n = check_int("n", n, 2, 9)
     alpha = check_unit("alpha", alpha)
     e0 = np.array([1.0, 0.0], dtype=complex)
     e1 = np.array([0.0, 1.0], dtype=complex)

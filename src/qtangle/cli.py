@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -138,18 +137,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f"{len(report.failures)} fail, {len(report.ledgered)} ledgered"
     )
     if args.out is not None:
-        payload = {
-            "checks": [
-                {
-                    "name": row.name,
-                    "status": row.status,
-                    "printed_value": row.printed_value,
-                    "direct_value": row.direct_value,
-                    "tolerance": row.tolerance,
-                }
-                for row in report.checks
-            ]
-        }
+        payload = {"checks": [dataclasses.asdict(row) for row in report.checks]}
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return 1 if report.failures else 0
 
@@ -167,12 +155,8 @@ def _cmd_state(args: argparse.Namespace) -> int:
             number = float(text)
         except ValueError as exc:
             raise _UsageError(f"bad parameter {text!r}: {exc}") from exc
-        if convert is int:
-            if not math.isfinite(number) or number != int(number):
-                raise _UsageError(f"parameter {text!r} must be an integer")
-            values.append(int(number))
-        else:
-            values.append(number)
+        # A whole number stands for a count; the family refuses any other.
+        values.append(int(number) if convert is int and number.is_integer() else number)
     state = maker(*values)
     serialize.save_state(args.out, state)
     return 0

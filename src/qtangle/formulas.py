@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import catalog, measures
-from .states import StateError, check_unit, is_integer
+from .states import check_int, check_real, check_unit
 
 __all__ = [
     "ClosedFormResult",
@@ -61,8 +61,7 @@ def tau3_family(alpha: float, p: float, phi: float) -> float:
     """Three-tangle of the two-branch superposition family phi_abd(alpha, p, phi)."""
     alpha = check_unit("alpha", alpha)
     p = check_unit("p", p)
-    if not math.isfinite(phi):
-        raise StateError(f"phi must be finite, got {phi!r}")
+    phi = check_real("phi", phi, -math.inf, math.inf)
     f1 = 6.0 * alpha**2 * p * (1.0 - p) / (2.0 + p) ** 2
     f2 = (
         24.0
@@ -123,8 +122,7 @@ def e_ms_psi6_closed(p: float) -> ClosedFormResult:
 
 def tau_a1_formula(n: int) -> float:
     """One-tangle of the first qubit of rho_wn_mix(n, 1/(n+1)): 4(n-1)/(n^2+n)."""
-    if not (is_integer(n) and 2 <= n <= 9):
-        raise StateError(f"n must be an integer in [2, 9], got {n!r}")
+    n = check_int("n", n, 2, 9)
     return 4.0 * (n - 1) / (n * n + n)
 
 

@@ -60,8 +60,9 @@ from .states import (
     StateError,
     StateVector,
     check_hermitian,
+    check_int,
+    check_real,
     check_subset,
-    is_integer,
     partial_trace,
     spectral_decomposition,
 )
@@ -163,20 +164,12 @@ class RoofConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        counts = {"restarts": 1, "max_iterations": 0, "seed": 0}
+        check_int("restarts", self.restarts, 1)
         if self.max_ensemble_size is not None:
-            counts["max_ensemble_size"] = 1
-        for name, least in counts.items():
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise StateError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise StateError(f"{name} must be >= {least}, got {value!r}")
-        tol = self.objective_tolerance
-        if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
-            raise StateError(f"objective_tolerance must be a real number, got {tol!r}")
-        if not (0.0 <= tol < np.inf):
-            raise StateError(f"objective_tolerance must be finite and >= 0, got {tol!r}")
+            check_int("max_ensemble_size", self.max_ensemble_size, 1)
+        check_int("max_iterations", self.max_iterations, 0)
+        check_int("seed", self.seed, 0)
+        check_real("objective_tolerance", self.objective_tolerance, 0.0, np.inf)
 
 
 @dataclass(frozen=True)
@@ -206,9 +199,9 @@ class RoofResult(NamedTuple):
 
 
 def _resolve_measure(
-    measure: str, n: int, partition: tuple[int, ...]
+    measure: str, n: int, partition: Iterable[int]
 ) -> Callable[[np.ndarray], np.ndarray]:
-    name = measure.lower()
+    name = measure.lower() if isinstance(measure, str) else None
     if name == "one_tangle":
         subset = check_subset(partition, n, allow_full=False)
         return lambda s: _batched.one_tangle_batch(s, n, subset)
@@ -551,7 +544,7 @@ def roof_minimize_many(
     n = rhos[0].n_qubits
     if any(rho.n_qubits != n for rho in rhos):
         raise StateError("roof_minimize_many needs states of one register size")
-    fn = _resolve_measure(measure, n, tuple(partition))
+    fn = _resolve_measure(measure, n, partition)
 
     best = []  # (cost, member columns) of the lowest ensemble found so far
     starts = []  # (scaled eigenbasis, eigenvalues)

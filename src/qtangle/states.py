@@ -48,28 +48,41 @@ def _infer_n_qubits(dim: int, what: str) -> int:
     return n
 
 
-def is_integer(value) -> bool:
-    """True for Python and NumPy integers; a bool is never a count or an index."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def check_unit(name: str, value: float) -> float:
-    """``value`` as a float, which must lie in the unit interval [0, 1]."""
-    value = float(value)
-    if not (0.0 <= value <= 1.0):
-        raise StateError(f"{name}={value!r} outside [0, 1]")
+def check_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int: a Python or NumPy integer in [lo, hi], never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise StateError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < lo or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise StateError(f"{name} must be {bound}, got {value!r}")
     return value
+
+
+def check_real(name: str, value, lo: float, hi: float) -> float:
+    """``value`` as a float: a finite real number in [lo, hi], never a bool.
+
+    Strings, None, complex numbers and sequences are refused, not converted.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise StateError(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise StateError(f"{name} must be finite, got {value!r}")
+    if not lo <= value <= hi:
+        raise StateError(f"{name}={value!r} outside [{lo:g}, {hi:g}]")
+    return value
+
+
+def check_unit(name: str, value) -> float:
+    """``value`` as a float in the unit interval [0, 1]."""
+    return check_real(name, value, 0.0, 1.0)
 
 
 def check_hermitian(mat: np.ndarray, what: str) -> None:
     """Refuse a square matrix that differs from its adjoint by more than HERMITIAN_ATOL."""
     if not np.allclose(mat, mat.conj().T, atol=HERMITIAN_ATOL, rtol=0.0):
         raise StateError(f"{what} is not Hermitian within {HERMITIAN_ATOL}")
-
-
-def _check_count(n_qubits) -> None:
-    if not is_integer(n_qubits):
-        raise StateError(f"n_qubits must be an integer, got {n_qubits!r}")
 
 
 def check_subset(
@@ -79,14 +92,13 @@ def check_subset(
     allow_full: bool = True,
 ) -> tuple[int, ...]:
     """Validate a strictly increasing qubit subset and return it as a tuple."""
-    subset = tuple(indices)
-    if not all(is_integer(q) for q in subset):
-        raise StateError(f"qubit subset {subset} must hold integers")
-    subset = tuple(int(q) for q in subset)
+    try:
+        subset = tuple(indices)
+    except TypeError:
+        raise StateError(f"qubit subset must be iterable, got {indices!r}") from None
+    subset = tuple(check_int("qubit index", q, 0, n_qubits - 1) for q in subset)
     if any(subset[i] >= subset[i + 1] for i in range(len(subset) - 1)):
         raise StateError(f"qubit subset {subset} must be strictly increasing")
-    if subset and (subset[0] < 0 or subset[-1] >= n_qubits):
-        raise StateError(f"qubit subset {subset} out of range for {n_qubits} qubits")
     if not subset:
         raise StateError("qubit subset must be nonempty")
     if len(subset) == n_qubits and not allow_full:
@@ -106,7 +118,7 @@ class StateVector:
     n_qubits: int
 
     def __post_init__(self) -> None:
-        _check_count(self.n_qubits)
+        check_int("n_qubits", self.n_qubits, 1)
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.ndim != 1:
             raise StateError("amplitudes must be a 1-D array")
@@ -138,7 +150,7 @@ class DensityMatrix:
     n_qubits: int
 
     def __post_init__(self) -> None:
-        _check_count(self.n_qubits)
+        check_int("n_qubits", self.n_qubits, 1)
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise StateError("density matrix must be square")

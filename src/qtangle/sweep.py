@@ -20,7 +20,7 @@ import numpy as np
 
 from . import catalog, formulas, measures
 from .roof import RoofConfig, roof_minimize_many
-from .states import DensityMatrix, StateError, is_integer, partial_trace
+from .states import DensityMatrix, StateError, check_int, check_unit, partial_trace
 
 __all__ = ["SweepSpec", "run_sweep", "run_surface", "preset_spec", "FAMILY_COLUMNS"]
 
@@ -36,27 +36,19 @@ class _Roof(NamedTuple):
     partition: tuple[int, ...] = (0,)
 
 
-def _smolin_pair_sum(p: float, cfg: RoofConfig) -> float:
-    state = catalog.smolin(p)
+def _pair_sum(state: DensityMatrix) -> float:
+    """Sum of the pair concurrences of the state over its qubit pairs i < j."""
+    n = state.n_qubits
     return sum(
         measures.concurrence(partial_trace(state, (i, j)))
-        for i in range(4)
-        for j in range(i + 1, 4)
+        for i in range(n)
+        for j in range(i + 1, n)
     )
 
 
 def _smolin_negativity_avg(p: float, cfg: RoofConfig) -> float:
     state = catalog.smolin(p)
     return sum(measures.negativity(state, (k,)) for k in range(4)) / 4.0
-
-
-def _wn_pair_sum(alpha: float, cfg: RoofConfig) -> float:
-    state = catalog.rho_wn_mix(3, alpha)
-    return sum(
-        measures.concurrence(partial_trace(state, (i, j)))
-        for i in range(3)
-        for j in range(i + 1, 3)
-    )
 
 
 # Each family's columns in order: a function of one grid point, or the roof
@@ -72,7 +64,7 @@ _TABLES: dict[str, dict[str, _PointColumn | tuple[_Roof, ...]]] = {
         "e_ms_psi4": lambda p, cfg: measures.e_ms(catalog.psi4(p)),
     },
     "smolin": {
-        "concurrence_sum": _smolin_pair_sum,
+        "concurrence_sum": lambda p, cfg: _pair_sum(catalog.smolin(p)),
         # Genuine three- plus four-partite content: the three-tangle roof of a
         # representative three-qubit reduction plus the e_ms roof of the whole
         # state. Both vanish on the Smolin family.
@@ -85,7 +77,7 @@ _TABLES: dict[str, dict[str, _PointColumn | tuple[_Roof, ...]]] = {
     },
     # The wn_mix sweep parameter is the mixing weight alpha, at fixed N = 3.
     "wn_mix": {
-        "concurrence_sum": _wn_pair_sum,
+        "concurrence_sum": lambda a, cfg: _pair_sum(catalog.rho_wn_mix(3, a)),
         "one_tangle_roof_A1": (_Roof(lambda a: catalog.rho_wn_mix(3, a), "one_tangle"),),
     },
 }
@@ -134,12 +126,9 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILY_COLUMNS:
             raise StateError(f"unknown sweep family {self.family!r}")
-        if not (is_integer(self.steps) and self.steps >= 2):
-            raise StateError(f"a sweep needs an integer number of steps >= 2, got {self.steps!r}")
-        if not (0.0 <= self.start < self.stop <= 1.0):
-            raise StateError(
-                f"sweep range [{self.start}, {self.stop}] must sit inside [0, 1]"
-            )
+        check_int("steps", self.steps, 2)
+        if check_unit("start", self.start) >= check_unit("stop", self.stop):
+            raise StateError(f"sweep start {self.start} must lie below its stop {self.stop}")
         if not self.measures:
             raise StateError("a sweep needs at least one measure column")
         known = FAMILY_COLUMNS[self.family]
@@ -173,8 +162,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
 
 def run_surface(steps: int = 41) -> tuple[list[str], list[list[float]]]:
     """The (alpha, p) surface of the family three-tangle at phase zero."""
-    if not (is_integer(steps) and steps >= 2):
-        raise StateError(f"a surface needs an integer number of steps >= 2, got {steps!r}")
+    check_int("steps", steps, 2)
     header = ["alpha", "p", "tau3"]
     axis = np.linspace(0.0, 1.0, steps)
     rows = []

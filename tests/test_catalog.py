@@ -4,10 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtangle import (
+    RoofConfig,
     StateError,
     abd_components,
     bell,
     ghz,
+    one_tangle,
     partial_trace,
     phi_abd,
     psi4,
@@ -16,11 +18,21 @@ from qtangle import (
     rho_abd,
     rho_ghz_w,
     rho_wn_mix,
+    roof_minimize,
     smolin,
     w,
 )
-
+from qtangle.formulas import (
+    abd_excitation_weight,
+    alpha0,
+    c_ab_sq_ghzw,
+    c_ab_sq_smolin,
+    e_ms_psi4_closed,
+    e_ms_psi6_closed,
+    tau3_family,
+)
 from qtangle.states import check_subset
+from qtangle.sweep import SweepSpec
 
 from helpers import projector, psi4_kron_oracle
 
@@ -186,3 +198,77 @@ def test_float_counts_and_indices_are_refused(value):
         check_subset((value,), 3)
     with pytest.raises(StateError):
         check_subset((0, value), 3)
+
+
+_NON_REAL = st.one_of(
+    st.text(), st.none(), st.booleans(), st.complex_numbers(), st.lists(st.floats())
+)
+
+# Every real parameter of the catalog and formulas entries and of a sweep's
+# range, fed one value with the other arguments valid.
+_REAL_PARAMETERS = (
+    rho_ghz_w,
+    psi4,
+    abd_components,
+    rho_abd,
+    smolin,
+    psi6,
+    lambda v: phi_abd(v, 0.5, 0.0),
+    lambda v: phi_abd(0.5, v, 0.0),
+    lambda v: phi_abd(0.5, 0.5, v),
+    lambda v: rho_wn_mix(3, v),
+    lambda v: psi_n1(3, v),
+    c_ab_sq_ghzw,
+    alpha0,
+    e_ms_psi4_closed,
+    c_ab_sq_smolin,
+    e_ms_psi6_closed,
+    abd_excitation_weight,
+    lambda v: tau3_family(v, 0.5, 0.0),
+    lambda v: tau3_family(0.5, v, 0.0),
+    lambda v: tau3_family(0.5, 0.5, v),
+    lambda v: SweepSpec("ghz_w", v, 1.0, 5, ("e_ms_psi4",), RoofConfig()),
+    lambda v: SweepSpec("ghz_w", 0.0, v, 5, ("e_ms_psi4",), RoofConfig()),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_NON_REAL)
+@example(np.True_)
+@example("0.5")
+@example([0.5])
+def test_non_real_parameters_are_refused(value):
+    # Refused, not converted: float("0.5") and float(True) are numbers.
+    for build in _REAL_PARAMETERS:
+        with pytest.raises(StateError):
+            build(value)
+
+
+def test_numpy_real_parameters_are_accepted():
+    # NumPy scalars and Python ints mean the same number as the float.
+    for value in (np.float32(0.5), np.float64(0.5), np.int64(1), 0):
+        for build in _REAL_PARAMETERS[:-2]:
+            build(value)
+    SweepSpec("ghz_w", np.int64(0), np.float32(0.5), 5, ("e_ms_psi4",), RoofConfig())
+    np.testing.assert_array_equal(smolin(np.float32(0.5)).matrix, smolin(0.5).matrix)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_NON_REAL)
+@example(0)
+@example(np.int64(2))
+def test_malformed_subsets_and_measure_names_are_refused(value):
+    psi = ghz(3)
+    rho = rho_ghz_w(0.5)
+    # A bare index is not a subset; (0,) would be a valid one.
+    subsets = [value] if isinstance(value, (int, np.integer)) else [value, (value,)]
+    for subset in subsets:
+        with pytest.raises(StateError):
+            one_tangle(psi, subset)
+        with pytest.raises(StateError):
+            partial_trace(psi, subset)
+        with pytest.raises(StateError):
+            roof_minimize(rho, "one_tangle", partition=subset)
+    if not isinstance(value, str):
+        with pytest.raises(StateError):
+            roof_minimize(rho, value)
