@@ -2,7 +2,12 @@
 
 Parameter names follow the conventions used across the package: ``p`` is the
 GHZ-vs-W (or Bell-weight) mixing parameter, ``alpha`` a superposition or mixing
-weight, ``phi`` a relative phase. All live in [0, 1] (``phi`` in [0, 2*pi)).
+weight, both in [0, 1]; ``phi`` is a relative phase, any finite real number.
+
+Each mixed family is written once, as a weight rule over a constant matrix
+whose columns are its members in environment order: the density matrix is
+their mixture, and the purification puts member k on environment basis state
+k, after the system qubits.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .states import DensityMatrix, StateVector, check_int, check_real, check_unit, partial_trace
+from .states import _mixture, _purification
 
 __all__ = [
     "ghz",
@@ -59,24 +65,28 @@ def bell(index: int) -> StateVector:
     return StateVector(amps, 2)
 
 
+def _pair_weights(name: str, x: float) -> tuple[float, float]:
+    """Weights (1 - x, x) of a two-member family, members in environment order."""
+    x = check_unit(name, x)
+    return (1.0 - x, x)
+
+
+# Members (W, GHZ) of rho_ghz_w, and the four Bell pairs, each on AB and CD, of
+# smolin. A zero times a negative amplitude is -0.0; adding 0.0 clears it.
+_W_GHZ = np.stack([w(3).amplitudes, ghz(3).amplitudes], axis=1)
+_BELL_PAIRS = 0.0 + np.stack(
+    [np.kron(bell(k).amplitudes, bell(k).amplitudes) for k in range(4)], axis=1
+)
+
+
 def rho_ghz_w(p: float) -> DensityMatrix:
     """Rank-2 mixture p*|GHZ><GHZ| + (1-p)*|W><W| on three qubits."""
-    p = check_unit("p", p)
-    g = ghz(3).amplitudes
-    ww = w(3).amplitudes
-    mat = p * np.outer(g, g.conj()) + (1.0 - p) * np.outer(ww, ww.conj())
-    return DensityMatrix(mat, 3)
-
-
-# The two blocks |W>|0> and |GHZ>|1> of psi4, built once.
-_W3_0 = np.kron(w(3).amplitudes, np.array([1.0, 0.0], dtype=complex))
-_GHZ3_1 = np.kron(ghz(3).amplitudes, np.array([0.0, 1.0], dtype=complex))
+    return DensityMatrix(_mixture(_pair_weights("p", p), _W_GHZ.T), 3)
 
 
 def psi4(p: float) -> StateVector:
     """Four-qubit purification sqrt(1-p)|W>|0> + sqrt(p)|GHZ>|1>, qubit order A,B,C,D."""
-    p = check_unit("p", p)
-    return StateVector(np.sqrt(1.0 - p) * _W3_0 + np.sqrt(p) * _GHZ3_1, 4)
+    return _purification(_pair_weights("p", p), _W_GHZ, 3)
 
 
 def abd_components(p: float) -> tuple[float, StateVector, StateVector]:
@@ -118,6 +128,11 @@ def rho_abd(p: float) -> DensityMatrix:
     return partial_trace(psi4(p), (0, 1, 3))
 
 
+def _smolin_weights(p: float) -> tuple[float, float, float, float]:
+    p = check_unit("p", p)
+    return (p / 4.0, p / 4.0, p / 4.0, 1.0 - 3.0 * p / 4.0)
+
+
 def smolin(p: float) -> DensityMatrix:
     """Four-qubit Bell-pair-product mixture with weights (p/4, p/4, p/4, 1-3p/4).
 
@@ -126,13 +141,7 @@ def smolin(p: float) -> DensityMatrix:
     equally weighted mixture. Invariant under swapping A with B, C with D, and
     the AB pair with the CD pair.
     """
-    p = check_unit("p", p)
-    weights = (p / 4.0, p / 4.0, p / 4.0, 1.0 - 3.0 * p / 4.0)
-    mat = np.zeros((16, 16), dtype=complex)
-    for k, wk in enumerate(weights):
-        pair = np.kron(bell(k).amplitudes, bell(k).amplitudes)
-        mat += wk * np.outer(pair, pair.conj())
-    return DensityMatrix(mat, 4)
+    return DensityMatrix(_mixture(_smolin_weights(p), _BELL_PAIRS.T), 4)
 
 
 def psi6(p: float) -> StateVector:
@@ -142,36 +151,24 @@ def psi6(p: float) -> StateVector:
     both AB and CD; coefficients are sqrt(p/4) on the first three and
     sqrt(1-3p/4) on |11>_EF.
     """
-    p = check_unit("p", p)
-    coeffs = (np.sqrt(p / 4.0),) * 3 + (np.sqrt(1.0 - 3.0 * p / 4.0),)
-    amps = np.zeros(64, dtype=complex)
-    for k, ck in enumerate(coeffs):
-        env = np.zeros(4, dtype=complex)
-        env[k] = 1.0
-        amps += ck * np.kron(np.kron(bell(k).amplitudes, bell(k).amplitudes), env)
-    return StateVector(amps, 6)
+    return _purification(_smolin_weights(p), _BELL_PAIRS, 4)
+
+
+def _wn_members(n: int) -> np.ndarray:
+    """Members (W_n, |1...1>) of rho_wn_mix as columns."""
+    members = np.zeros((2**n, 2), dtype=complex)
+    members[:, 0] = w(n).amplitudes
+    members[-1, 1] = 1.0
+    return members
 
 
 def rho_wn_mix(n: int, alpha: float) -> DensityMatrix:
     """Rank-2 mixture alpha*|1...1><1...1| + (1-alpha)*|W_n><W_n| on n qubits."""
     n = check_int("n", n, 2, 9)
-    alpha = check_unit("alpha", alpha)
-    ones = np.zeros(2**n, dtype=complex)
-    ones[-1] = 1.0
-    wn = w(n).amplitudes
-    mat = alpha * np.outer(ones, ones.conj()) + (1.0 - alpha) * np.outer(wn, wn.conj())
-    return DensityMatrix(mat, n)
+    return DensityMatrix(_mixture(_pair_weights("alpha", alpha), _wn_members(n).T), n)
 
 
 def psi_n1(n: int, alpha: float) -> StateVector:
     """(n+1)-qubit purification sqrt(alpha)|1^(n+1)> + sqrt(1-alpha)|W_n>|0>."""
     n = check_int("n", n, 2, 9)
-    alpha = check_unit("alpha", alpha)
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    e1 = np.array([0.0, 1.0], dtype=complex)
-    ones = np.zeros(2**n, dtype=complex)
-    ones[-1] = 1.0
-    amps = np.sqrt(alpha) * np.kron(ones, e1) + np.sqrt(1.0 - alpha) * np.kron(
-        w(n).amplitudes, e0
-    )
-    return StateVector(amps, n + 1)
+    return _purification(_pair_weights("alpha", alpha), _wn_members(n), n)

@@ -59,6 +59,7 @@ from .states import (
     DensityMatrix,
     StateError,
     StateVector,
+    _mixture,
     check_hermitian,
     check_int,
     check_real,
@@ -104,11 +105,8 @@ class Ensemble:
 
     def mixture(self) -> np.ndarray:
         """Sum of p_i |psi_i><psi_i| as a plain matrix."""
-        dim = self.members[0][1].dim
-        out = np.zeros((dim, dim), dtype=complex)
-        for p, psi in self.members:
-            out += p * np.outer(psi.amplitudes, psi.amplitudes.conj())
-        return out
+        probs, states = zip(*self.members)
+        return _mixture(probs, [psi.amplitudes for psi in states])
 
     def average(self, measure: Callable[[StateVector], float]) -> float:
         return float(sum(p * measure(psi) for p, psi in self.members))
@@ -198,22 +196,34 @@ class RoofResult(NamedTuple):
 # measure registry: batched evaluators over (K, 2^n) state stacks
 
 
-def _resolve_measure(
-    measure: str, n: int, partition: Iterable[int]
-) -> Callable[[np.ndarray], np.ndarray]:
+def _roof_arguments(measure: str, partition: Iterable[int]) -> tuple[str, tuple[int, ...]]:
+    """The measure's name and the partition's qubits, checked as far as they can
+    be without a register size."""
     name = measure.lower() if isinstance(measure, str) else None
+    if name not in ("one_tangle", "three_tangle", "three_tangle_pure", "e_ms"):
+        raise StateError(f"unsupported roof measure {measure!r}")
+    try:
+        qubits = tuple(partition)
+    except TypeError:
+        raise StateError(f"partition must be an iterable of qubits, got {partition!r}") from None
+    return name, tuple(check_int("qubit index", q, 0) for q in qubits)
+
+
+def _resolve_measure(
+    name: str, n: int, partition: tuple[int, ...]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The batched kernel of a measure name and partition that passed
+    ``_roof_arguments``, checked against the register size n."""
     if name == "one_tangle":
         subset = check_subset(partition, n, allow_full=False)
         return lambda s: _batched.one_tangle_batch(s, n, subset)
-    if name in ("three_tangle", "three_tangle_pure"):
-        if n != 3:
-            raise StateError("three_tangle roof needs a 3-qubit state")
-        return _batched.three_tangle_batch
     if name == "e_ms":
         if n < 3:
             raise StateError("e_ms roof needs at least 3 qubits")
         return lambda s: _batched.e_ms_batch(s, n)
-    raise StateError(f"unsupported roof measure {measure!r}")
+    if n != 3:
+        raise StateError("three_tangle roof needs a 3-qubit state")
+    return _batched.three_tangle_batch
 
 
 def ensemble_from_isometry(rho: DensityMatrix, v: DecompositionIsometry) -> Ensemble:
@@ -539,12 +549,13 @@ def roof_minimize_many(
     """
     cfg = config or RoofConfig()
     rhos = list(rhos)
+    name, partition = _roof_arguments(measure, partition)
     if not rhos:
         return []
     n = rhos[0].n_qubits
     if any(rho.n_qubits != n for rho in rhos):
         raise StateError("roof_minimize_many needs states of one register size")
-    fn = _resolve_measure(measure, n, partition)
+    fn = _resolve_measure(name, n, partition)
 
     best = []  # (cost, member columns) of the lowest ensemble found so far
     starts = []  # (scaled eigenbasis, eigenvalues)

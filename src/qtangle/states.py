@@ -125,7 +125,7 @@ class StateVector:
         n = _infer_n_qubits(amps.shape[0], "state vector")
         if n != self.n_qubits:
             raise StateError(f"length {amps.shape[0]} does not match n_qubits={self.n_qubits}")
-        norm = float(np.sum(np.abs(amps) ** 2))
+        norm = float(np.vdot(amps, amps).real)
         if not math.isfinite(norm):  # NaN and infinite amplitudes propagate here
             raise StateError(f"state vector amplitudes must be finite, got norm**2 = {norm!r}")
         if abs(norm - 1.0) > UNIT_ATOL:
@@ -276,17 +276,39 @@ def spectral_decomposition(rho: DensityMatrix) -> Spectrum:
     return Spectrum(vals, vecs)
 
 
+def _mixture(weights, vectors) -> np.ndarray:
+    """Sum of w_k |v_k><v_k| as a plain matrix, summed in the order given from zero."""
+    dim = len(vectors[0])
+    out = np.zeros((dim, dim), dtype=complex)
+    for wk, v in zip(weights, vectors):
+        out += wk * np.outer(v, v.conj())
+    return out
+
+
+def _purification(weights, columns: np.ndarray, n_qubits: int) -> StateVector:
+    """sum_k sqrt(w_k) |v_k>|k> for the columns v_k of a (2**n_qubits, K) matrix.
+
+    The environment comes after the system qubits. It is the smallest qubit
+    register that holds every k, never less than one qubit; the basis states
+    past the last member stay empty.
+    """
+    count = len(weights)
+    n_env = (count - 1).bit_length() or 1
+    amps = columns * np.sqrt(weights)
+    if 0.0 in weights:
+        amps += 0.0  # zero times a negative amplitude is -0.0; a sum from zero gives 0.0
+    if count < 2**n_env:
+        amps = np.hstack([amps, np.zeros((amps.shape[0], 2**n_env - count))])
+    return StateVector(amps.reshape(-1), n_qubits + n_env)
+
+
 def purify(rho: DensityMatrix) -> StateVector:
     """A pure state on system + environment whose system reduction is ``rho``.
 
-    The environment is the smallest qubit register that fits the rank (a rank-1
-    input still gets one environment qubit, left in |0>), appended after the system
-    qubits. Environment basis states are assigned in descending-eigenvalue order.
+    Eigenvector k in descending-eigenvalue order, scaled by the square root of
+    its eigenvalue, sits on environment basis state k, under the environment
+    rule of :func:`_purification` (a rank-1 input still gets one environment
+    qubit, left in |0>).
     """
     spec = spectral_decomposition(rho)
-    rank = spec.eigenvalues.shape[0]
-    n_env = max(1, int(np.ceil(np.log2(rank))))
-    dim_env = 2**n_env
-    psi = np.zeros((rho.dim, dim_env), dtype=complex)
-    psi[:, :rank] = spec.eigenvectors * np.sqrt(spec.eigenvalues)
-    return StateVector(psi.reshape(-1), rho.n_qubits + n_env)
+    return _purification(spec.eigenvalues, spec.eigenvectors, rho.n_qubits)

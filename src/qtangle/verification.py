@@ -9,13 +9,12 @@ they are expected and do not fail the run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import _batched, catalog, formulas, measures
 from .roof import PovmElement, RoofConfig, measure_env_povm, roof_minimize, roof_minimize_many
-from .states import DensityMatrix, StateVector, _clean_spectrum, partial_trace, purify
+from .states import StateVector, _mixture, partial_trace, purify
 
 __all__ = ["CheckRow", "VerifyReport", "build_report"]
 
@@ -50,15 +49,6 @@ class VerifyReport:
 
 def _row(name: str, ok: bool, printed: float, direct: float, tol: float) -> CheckRow:
     return CheckRow(name, "pass" if ok else "fail", float(printed), float(direct), tol)
-
-
-def _fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
-    vals, vecs = np.linalg.eigh(a.matrix)
-    vals = _clean_spectrum(vals)
-    root = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    inner = root @ b.matrix @ root
-    ev = _clean_spectrum(np.linalg.eigvalsh(inner))
-    return float(np.sum(np.sqrt(ev)) ** 2)
 
 
 def _criterion_1(cfg: RoofConfig) -> CheckRow:
@@ -104,14 +94,10 @@ def _criterion_3(cfg: RoofConfig) -> CheckRow:
     for p in np.arange(0.1, 0.95, 0.1):
         a0 = formulas.alpha0(float(p))
         _, first, second = catalog.abd_components(float(p))
-        target = a0 * np.outer(first.amplitudes, first.amplitudes.conj()) + (
-            1.0 - a0
-        ) * np.outer(second.amplitudes, second.amplitudes.conj())
-        mean = np.zeros((8, 8), dtype=complex)
-        for k in range(3):
-            phi_state = catalog.phi_abd(a0, float(p), 2.0 * k * np.pi / 3.0)
-            worst_tau = max(worst_tau, measures.three_tangle_pure(phi_state))
-            mean += np.outer(phi_state.amplitudes, phi_state.amplitudes.conj()) / 3.0
+        target = _mixture((a0, 1.0 - a0), [first.amplitudes, second.amplitudes])
+        phis = [catalog.phi_abd(a0, float(p), 2.0 * k * np.pi / 3.0) for k in range(3)]
+        worst_tau = max(worst_tau, *(measures.three_tangle_pure(phi) for phi in phis))
+        mean = _mixture((1.0 / 3.0,) * 3, [phi.amplitudes for phi in phis])
         worst_mix = max(worst_mix, float(np.max(np.abs(mean - target))))
     ok = ok and worst_tau <= 1e-9 and worst_mix <= 1e-10
     return _row("criterion_3", ok, 0.0, worst_tau, 1e-9)
@@ -161,27 +147,21 @@ def _criterion_6(cfg: RoofConfig) -> CheckRow:
 
 
 def _criterion_7(cfg: RoofConfig) -> CheckRow:
-    families: list[Callable[[float], DensityMatrix]] = [
-        lambda p: catalog.rho_ghz_w(p),
-        lambda p: catalog.smolin(p),
-        lambda a: catalog.rho_wn_mix(3, a),
+    # Each family against its paper purification and against purify.
+    families = [
+        (catalog.rho_ghz_w, catalog.psi4),
+        (catalog.smolin, catalog.psi6),
+        (lambda a: catalog.rho_wn_mix(3, a), lambda a: catalog.psi_n1(3, a)),
     ]
     worst = 0.0
-    for family in families:
+    for family, paper_purification in families:
         for x in np.linspace(0.0, 1.0, 21):
             rho = family(float(x))
-            psi = purify(rho)
             system = tuple(range(rho.n_qubits))
-            back = partial_trace(psi, system)
-            worst = max(worst, float(np.max(np.abs(back.matrix - rho.matrix))))
-    worst_fid = 0.0
-    for p in np.linspace(0.0, 1.0, 21):
-        lifted = purify(catalog.rho_ghz_w(float(p)))
-        reduced = partial_trace(lifted, (0, 1, 2))
-        reference = partial_trace(catalog.psi4(float(p)), (0, 1, 2))
-        worst_fid = max(worst_fid, abs(1.0 - _fidelity(reduced, reference)))
-    ok = worst <= 1e-10 and worst_fid <= 1e-10
-    return _row("criterion_7", ok, 0.0, max(worst, worst_fid), 1e-10)
+            for psi in (paper_purification(float(x)), purify(rho)):
+                back = partial_trace(psi, system)
+                worst = max(worst, float(np.max(np.abs(back.matrix - rho.matrix))))
+    return _row("criterion_7", worst <= 1e-10, 0.0, worst, 1e-10)
 
 
 def _criterion_8(cfg: RoofConfig) -> CheckRow:

@@ -11,15 +11,26 @@ three-tangle and one-tangle roofs from the literature, and
 ``rank2_one_tangle_roof`` is Osborne's exact one-tangle roof of any rank-2 state.
 The dense polish linearization rebuilds every finite-difference probe
 ensemble in full, as the sparse production path avoids doing.
-``psi4_kron_oracle`` builds psi4 from two Kronecker products on every call,
-where ``catalog.psi4`` reuses two constant blocks.
+The ``*_oracle`` builders write each mixed family and its purification out
+term by term, from fresh ``ghz``, ``w`` and ``bell`` states and Kronecker
+products, where the catalog derives both from one weight rule over a constant
+member matrix; ``purify_oracle`` fills a zero environment buffer by hand.
 """
 
 from itertools import combinations
 
 import numpy as np
 
-from qtangle import DensityMatrix, StateVector, concurrence, ghz, partial_trace, w
+from qtangle import (
+    DensityMatrix,
+    StateVector,
+    bell,
+    concurrence,
+    ghz,
+    partial_trace,
+    spectral_decomposition,
+    w,
+)
 from qtangle.roof import _cayley, _contributions, _generator_directions
 from qtangle.verification import _random_pure
 
@@ -149,6 +160,63 @@ def psi4_kron_oracle(p: float) -> np.ndarray:
     return np.sqrt(1.0 - p) * np.kron(w(3).amplitudes, e0) + np.sqrt(p) * np.kron(
         ghz(3).amplitudes, e1
     )
+
+
+def rho_ghz_w_oracle(p: float) -> np.ndarray:
+    """p |GHZ><GHZ| + (1 - p) |W><W| as a sum of two outer products."""
+    g = ghz(3).amplitudes
+    ww = w(3).amplitudes
+    return p * np.outer(g, g.conj()) + (1.0 - p) * np.outer(ww, ww.conj())
+
+
+def smolin_oracle(p: float) -> np.ndarray:
+    """Bell pair k on AB and CD with weight p/4 (k < 3) or 1 - 3p/4 (k = 3)."""
+    weights = (p / 4.0, p / 4.0, p / 4.0, 1.0 - 3.0 * p / 4.0)
+    mat = np.zeros((16, 16), dtype=complex)
+    for k, wk in enumerate(weights):
+        pair = np.kron(bell(k).amplitudes, bell(k).amplitudes)
+        mat += wk * np.outer(pair, pair.conj())
+    return mat
+
+
+def psi6_oracle(p: float) -> np.ndarray:
+    """Sum over k of sqrt(weight k) |Bell k>_AB |Bell k>_CD |k>_EF."""
+    coeffs = (np.sqrt(p / 4.0),) * 3 + (np.sqrt(1.0 - 3.0 * p / 4.0),)
+    amps = np.zeros(64, dtype=complex)
+    for k, ck in enumerate(coeffs):
+        env = np.zeros(4, dtype=complex)
+        env[k] = 1.0
+        amps += ck * np.kron(np.kron(bell(k).amplitudes, bell(k).amplitudes), env)
+    return amps
+
+
+def rho_wn_mix_oracle(n: int, alpha: float) -> np.ndarray:
+    """alpha |1...1><1...1| + (1 - alpha) |W_n><W_n| as two outer products."""
+    ones = np.zeros(2**n, dtype=complex)
+    ones[-1] = 1.0
+    wn = w(n).amplitudes
+    return alpha * np.outer(ones, ones.conj()) + (1.0 - alpha) * np.outer(wn, wn.conj())
+
+
+def psi_n1_oracle(n: int, alpha: float) -> np.ndarray:
+    """sqrt(alpha) |1...1>|1> + sqrt(1 - alpha) |W_n>|0> from two fresh krons."""
+    e0 = np.array([1.0, 0.0], dtype=complex)
+    e1 = np.array([0.0, 1.0], dtype=complex)
+    ones = np.zeros(2**n, dtype=complex)
+    ones[-1] = 1.0
+    return np.sqrt(alpha) * np.kron(ones, e1) + np.sqrt(1.0 - alpha) * np.kron(
+        w(n).amplitudes, e0
+    )
+
+
+def purify_oracle(rho: DensityMatrix) -> np.ndarray:
+    """Scaled eigenvectors written into a zero (system, environment) buffer."""
+    spec = spectral_decomposition(rho)
+    rank = spec.eigenvalues.shape[0]
+    n_env = max(1, int(np.ceil(np.log2(rank))))
+    psi = np.zeros((rho.dim, 2**n_env), dtype=complex)
+    psi[:, :rank] = spec.eigenvectors * np.sqrt(spec.eigenvalues)
+    return psi.reshape(-1)
 
 
 def projector(psi: StateVector) -> np.ndarray:

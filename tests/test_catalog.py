@@ -34,7 +34,15 @@ from qtangle.formulas import (
 from qtangle.states import check_subset
 from qtangle.sweep import SweepSpec
 
-from helpers import projector, psi4_kron_oracle
+from helpers import (
+    projector,
+    psi4_kron_oracle,
+    psi6_oracle,
+    psi_n1_oracle,
+    rho_ghz_w_oracle,
+    rho_wn_mix_oracle,
+    smolin_oracle,
+)
 
 
 def test_ghz_amplitudes():
@@ -73,8 +81,22 @@ def test_rho_ghz_w_is_advertised_mixture():
 
 
 def test_psi4_matches_kron_formula_bit_for_bit():
+    # Bytes, not values: np.array_equal would let a -0.0 stand in for 0.0.
     for p in np.linspace(0.0, 1.0, 1001):
-        assert np.array_equal(psi4(float(p)).amplitudes, psi4_kron_oracle(float(p)))
+        assert psi4(float(p)).amplitudes.tobytes() == psi4_kron_oracle(float(p)).tobytes()
+
+
+def test_mixed_families_match_term_by_term_oracles_bit_for_bit():
+    for p in np.linspace(0.0, 1.0, 201):
+        p = float(p)
+        assert rho_ghz_w(p).matrix.tobytes() == rho_ghz_w_oracle(p).tobytes()
+        assert smolin(p).matrix.tobytes() == smolin_oracle(p).tobytes()
+        assert psi6(p).amplitudes.tobytes() == psi6_oracle(p).tobytes()
+    for n in range(2, 10):
+        for alpha in np.linspace(0.0, 1.0, 11):
+            alpha = float(alpha)
+            assert rho_wn_mix(n, alpha).matrix.tobytes() == rho_wn_mix_oracle(n, alpha).tobytes()
+            assert psi_n1(n, alpha).amplitudes.tobytes() == psi_n1_oracle(n, alpha).tobytes()
 
 
 def test_psi4_purifies_rho_ghz_w():

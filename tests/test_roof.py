@@ -414,6 +414,16 @@ def test_roof_minimize_many_matches_single_e_ms_roofs(size):
 
 def test_roof_minimize_many_edges():
     assert roof_minimize_many([], "three_tangle") == []
+    # Arguments that are wrong at any register size are refused with or
+    # without states; the range of a qubit index waits for a state.
+    bad = [(None, None), ("nope", (0,)), (3, (0,)), ("one_tangle", None), ("e_ms", (0.5,))]
+    for measure, partition in bad:
+        for rhos in ([], [rho_ghz_w(0.5)]):
+            with pytest.raises(StateError):
+                roof_minimize_many(rhos, measure, LIGHT, partition=partition)
+    assert roof_minimize_many([], "one_tangle", partition=(7,)) == []
+    with pytest.raises(StateError, match="qubit index"):
+        roof_minimize_many([rho_ghz_w(0.5)], "one_tangle", LIGHT, partition=(7,))
     with pytest.raises(StateError, match="register size"):
         roof_minimize_many([rho_ghz_w(0.5), smolin(0.5)], "one_tangle", LIGHT)
     with pytest.raises(StateError, match="exceeds the ensemble-size cap"):

@@ -17,7 +17,7 @@ from qtangle import (
 )
 from qtangle.states import check_subset
 
-from helpers import projector, random_density, random_state
+from helpers import projector, purify_oracle, random_density, random_state
 
 
 def test_state_vector_validation():
@@ -180,6 +180,15 @@ def test_purify_round_trip():
         psi = purify(rho)
         back = partial_trace(psi, tuple(range(n)))
         np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-10)
+
+
+def test_purify_matches_zero_buffer_oracle_bit_for_bit():
+    rng = np.random.default_rng(29)
+    states = [ghz(3).density()]
+    for n in (1, 2, 3):
+        states += [random_density(rng, n, rank) for rank in range(1, 2**n + 1)]
+    for rho in states:
+        assert purify(rho).amplitudes.tobytes() == purify_oracle(rho).tobytes()
 
 
 def test_purify_environment_size():
