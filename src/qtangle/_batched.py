@@ -76,11 +76,19 @@ def concurrence_sq_batch(states: np.ndarray, n: int, i: int, j: int) -> np.ndarr
 
 
 def three_tangle_batch(states: np.ndarray) -> np.ndarray:
-    """Three-tangle 4|d1 - 2 d2 + 4 d3| of a (K, 8) batch.
+    """Three-tangle 4|D| of a (K, 8) batch of normalized states.
 
     The modulus of Cayley's 2x2x2 hyperdeterminant (Coffman, Kundu and
     Wootters, PRA 61, 052306 (2000)); it equals the CKW residual
     tau_A - C_AB^2 - C_AC^2 and is never negative.
+    """
+    return 4.0 * np.abs(hyperdeterminant_batch(states))
+
+
+def hyperdeterminant_batch(states: np.ndarray) -> np.ndarray:
+    """Cayley's hyperdeterminant D = d1 - 2 d2 + 4 d3 of each (K, 8) row, complex.
+
+    D is a homogeneous quartic in the amplitudes, so rows need not be normalized.
     """
     a = states.reshape(-1, 2, 2, 2)
     a000, a001, a010, a011 = a[:, 0, 0, 0], a[:, 0, 0, 1], a[:, 0, 1, 0], a[:, 0, 1, 1]
@@ -95,7 +103,7 @@ def three_tangle_batch(states: np.ndarray) -> np.ndarray:
         + a101 * a010 * a110 * a001
     )
     d3 = a000 * a110 * a101 * a011 + a111 * a001 * a010 * a100
-    return 4.0 * np.abs(d1 - 2.0 * d2 + 4.0 * d3)
+    return d1 - 2.0 * d2 + 4.0 * d3
 
 
 def e_ms_batch(states: np.ndarray, n: int) -> np.ndarray:

@@ -20,16 +20,27 @@ its own eigenspace; degenerate states (where the eigenbasis is arbitrary inside
 a cluster) are exactly the ones whose optima need that alignment.
 
 Each state keeps one running best, which starts as its spectral ensemble
-(the scaled eigenbasis). The search then runs up to two stages, each a full
-draw-and-polish run, and a stage runs only while the best is still above the
-tolerance. When the rank r is at least 3 and the ensemble size m exceeds it,
-the first stage polishes ensembles of r members: zero roofs, such as the e_ms
-roof of the Smolin-type mixtures, get there far sooner with r members than
-with m. The second stage runs at m, exactly as a single-stage search would.
-At rank 2 only the m stage runs, and at rank 1 none. A stage's ensemble
-replaces the best only when its cost is strictly lower, so no stage raises a
-roof, and ties go to the spectral ensemble, then to the m = r stage, then to
-the m stage; within a stage they go to the lowest restart index.
+(the scaled eigenbasis). A rank-2 state whose spectral best is above the
+tolerance then gets an exact start, when one exists and has at most m
+members:
+
+- for the one-tangle of any partition, Osborne's optimal two-member
+  ensemble; it ends the search, so no stage runs after it;
+- for the three-tangle, up to four zeros of the hyperdeterminant on the
+  range, when the state lies in their convex hull; its roof is then zero,
+  and the start ends the search at the tolerance.
+
+The search then runs up to two stages, each a full draw-and-polish run, and
+a stage runs only while the best is still above the tolerance. When the rank
+r is at least 3 and the ensemble size m exceeds it, the first stage polishes
+ensembles of r members: zero roofs, such as the e_ms roof of the Smolin-type
+mixtures, get there far sooner with r members than with m. The second stage
+runs at m, exactly as a single-stage search would. At rank 2 only the m
+stage runs, and at rank 1 none. A start or a stage's ensemble replaces the
+best only when its cost, priced by the same kernel, is strictly lower, so
+neither raises a roof; ties go to the spectral ensemble, then to the start,
+then to the m = r stage, then to the m stage, and within a stage to the
+lowest restart index.
 
 ``roof_minimize_many`` searches several states of one register size at once:
 each stage polishes the restarts of all its states in one lockstep loop per
@@ -200,7 +211,7 @@ def _roof_arguments(measure: str, partition: Iterable[int]) -> tuple[str, tuple[
     """The measure's name and the partition's qubits, checked as far as they can
     be without a register size."""
     name = measure.lower() if isinstance(measure, str) else None
-    if name not in ("one_tangle", "three_tangle", "three_tangle_pure", "e_ms"):
+    if name not in ("one_tangle", "three_tangle", "e_ms"):
         raise StateError(f"unsupported roof measure {measure!r}")
     try:
         qubits = tuple(partition)
@@ -429,7 +440,7 @@ class _LockstepPolish:
 
 
 def _polish(
-    starts: Sequence[tuple[np.ndarray, np.ndarray]],
+    spectra: Sequence[tuple[np.ndarray, np.ndarray]],
     m: int,
     fn: Callable[[np.ndarray], np.ndarray],
     cfg: RoofConfig,
@@ -437,18 +448,18 @@ def _polish(
     """Draw cfg.restarts isometries at ensemble size m for every state and
     polish all of them in one lockstep loop.
 
-    Each start is a state's scaled eigenbasis and its eigenvalues. Every stop
+    Each spectrum is a state's scaled eigenbasis and its eigenvalues. Every stop
     rule reads the state's own restarts, so a state ends exactly where it
     would alone. Returns, per state, the lowest cost and its member columns
     (dim, m); ties go to the lowest restart index.
     """
     restarts = cfg.restarts
-    n_states = len(starts)
+    n_states = len(spectra)
     w = np.concatenate(
         [
             base[None]
             @ _draw_isometries(cfg.seed, restarts, m, eigenvalues).conj().transpose(0, 2, 1)
-            for base, eigenvalues in starts
+            for base, eigenvalues in spectra
         ]
     )
     polish = _LockstepPolish(m)
@@ -510,6 +521,117 @@ def _polish(
     return [(float(costs[s, k]), w[s * restarts + k]) for s, k in enumerate(winners)]
 
 
+# --------------------------------------------------------------------------
+# exact rank-2 starts: a pure state of a rank-2 range is a unit vector c in
+# its eigenbasis, with Pauli vector (1, n), n = c^H sigma c on the Bloch sphere
+
+# A fixed, generic unitary chart of a rank-2 range, columns in its eigenbasis.
+# In the eigenbasis itself a zero of the hyperdeterminant can sit at z = inf:
+# for rho_ghz_w(p) with p > 1/2, W is the second eigenvector and a zero.
+_CHART = np.array([[0.8, -0.36 + 0.48j], [0.36 + 0.48j, 0.8]])
+
+
+def _rank2_start(
+    name: str, eigenvalues: np.ndarray, eigenvectors: np.ndarray, n: int, subset: tuple[int, ...]
+) -> np.ndarray | None:
+    """Member columns (dim, k) of an exact ensemble of a rank-2 state, or None.
+
+    For the one-tangle this is Osborne's optimal ensemble; for the
+    three-tangle, zeros of the hyperdeterminant whose mixture is the state.
+    """
+    # The state's own Pauli vector: it is diagonal in its eigenbasis.
+    target = np.array(
+        [eigenvalues[0] + eigenvalues[1], 0.0, 0.0, eigenvalues[0] - eigenvalues[1]]
+    )
+    if name == "one_tangle":
+        found = _osborne_members(eigenvectors, target, n, subset)
+    else:
+        found = _zero_set_members(eigenvectors, target)
+    if found is None:
+        return None
+    rays, weights = found
+    return eigenvectors @ (rays * np.sqrt(weights))
+
+
+def _osborne_members(
+    eigenvectors: np.ndarray, target: np.ndarray, n: int, subset: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Osborne's optimal two-member ensemble for the one-tangle of ``subset``
+    (T. J. Osborne, PRA 72, 022309 (2005)): rays (2, 2) and weights (2,).
+
+    The reduction of a range state to the subset is A_0 + sum_k n_k A_k, so
+    its one-tangle 2(1 - tr rho_S^2) is a quadratic form in (1, n). Adding
+    t(1 - |n|^2), with t the least eigenvalue of the form's 3 x 3 block,
+    changes nothing on the sphere and leaves a convex function that is flat
+    along that block's eigenvector u. No ensemble averages below its value at
+    the state's Bloch vector r, and the two members where the line r + s u
+    meets the sphere attain it.
+    """
+    sigma = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    t = _batched.qubits_first(eigenvectors.T, n, subset)  # e_i as (subset, rest)
+    a = 0.5 * np.einsum("kij,iac,jbc->kab", sigma, t, t.conj())
+    # The block is -2 Re tr(A_j A_k): its least eigenvalue is this one's largest.
+    u = np.linalg.eigh(np.einsum("jab,kba->jk", a, a).real)[1][:, -1]
+    r = target[1:] / target[0]
+    ru = float(r @ u)
+    root = np.sqrt(ru * ru + 1.0 - r @ r)
+    s = np.array([root - ru, -root - ru])  # s[0] > 0 > s[1], as |r| < 1
+    points = r + s[:, None] * u
+    rays = np.stack([_bloch_ray(point) for point in points], axis=1)
+    return rays, target[0] * np.array([-s[1], s[0]]) / (s[0] - s[1])
+
+
+def _bloch_ray(point: np.ndarray) -> np.ndarray:
+    """A unit 2-vector c with c^H sigma c = point, for a unit Bloch vector."""
+    x, y, z = point
+    c = np.array([1.0 + z, x + 1j * y]) if z >= 0.0 else np.array([x - 1j * y, 1.0 - z])
+    return c / np.linalg.norm(c)
+
+
+def _zero_set_members(
+    eigenvectors: np.ndarray, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Up to four zeros of the hyperdeterminant D whose mixture is the state:
+    rays (2, 4) and non-negative weights, or None.
+
+    D is a homogeneous quartic, so on the range it vanishes on at most four
+    rays (Osterloh, Siewert and Uhlmann, PRA 77, 032310 (2008)): the roots of
+    the quartic D(f0 + z f1) in the chart f = eigenvectors @ _CHART. Its five
+    coefficients come from D at the fifth roots of unity, and a few Newton
+    steps on D itself refine each root. The weights then solve
+    sum_k w_k (1, n_k) = target; they are all non-negative exactly when the
+    state lies in the convex hull of the rays, where its three-tangle roof
+    is zero.
+    """
+    f = eigenvectors @ _CHART
+    unity = np.exp(2j * np.pi * np.arange(5) / 5)
+    vander = unity[:, None] ** np.arange(5)  # D(unity_j) = sum_k vander_jk c_k
+    values = _batched.hyperdeterminant_batch(f[:, 0] + unity[:, None] * f[:, 1])
+    coeffs = (vander.conj().T @ values)[::-1] / 5  # z^4 first
+    z = np.roots(coeffs)
+    if z.size != 4:
+        return None
+    slope = np.polyder(coeffs)
+    for _ in range(3):
+        d = _batched.hyperdeterminant_batch(f[:, 0] + z[:, None] * f[:, 1])
+        dz = np.polyval(slope, z)
+        z = z - np.divide(d, dz, out=np.zeros_like(d), where=dz != 0)
+    if not np.all(np.isfinite(z)):
+        return None
+    rays = _CHART @ np.stack([np.ones(4), z])
+    rays /= np.linalg.norm(rays, axis=0)
+    cross = rays[0].conj() * rays[1]
+    pop = np.abs(rays) ** 2
+    pauli = np.stack([pop[0] + pop[1], 2.0 * cross.real, 2.0 * cross.imag, pop[0] - pop[1]])
+    try:
+        weights = np.linalg.solve(pauli, target)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(weights >= 0.0):
+        return None
+    return rays, weights
+
+
 def roof_minimize(
     rho: DensityMatrix,
     measure: str,
@@ -521,14 +643,19 @@ def roof_minimize(
 
     Returns the lowest average found and the realizing ensemble, whose
     mixture is checked against rho. The search keeps a running best that
-    starts as the spectral ensemble; each stage (m = rank for ranks of 3 or
-    more below the ensemble size, then m) runs only while the best is above
-    ``objective_tolerance`` and replaces it only with a strictly lower cost.
-    So the value is an upper bound on the true roof, never exceeds the
-    spectral-ensemble average, and is deterministic for a fixed config:
-    restart streams are seeded from (seed, restart index), and ties go to
-    the spectral ensemble, then to the m = rank stage, then to the m stage,
-    and within a stage to the lowest restart index.
+    starts as the spectral ensemble. At rank 2, while that best is above
+    ``objective_tolerance``, an exact start comes next if it has at most m
+    members: Osborne's ensemble for the one-tangle, which ends the search,
+    or, for the three-tangle, zeros of the hyperdeterminant whose mixture
+    is rho, when rho lies in their convex hull. Each stage (m = rank for
+    ranks of 3 or more below the ensemble size, then m) runs only while the
+    best is above ``objective_tolerance``. A start or a stage replaces the
+    best only with a strictly lower cost. So the value is an upper bound on
+    the true roof, never exceeds the spectral-ensemble average, and is
+    deterministic for a fixed config: restart streams are seeded from
+    (seed, restart index), and ties go to the spectral ensemble, then to the
+    start, then to the m = rank stage, then to the m stage, and within a
+    stage to the lowest restart index.
     """
     return roof_minimize_many([rho], measure, config, partition=partition)[0]
 
@@ -558,7 +685,7 @@ def roof_minimize_many(
     fn = _resolve_measure(name, n, partition)
 
     best = []  # (cost, member columns) of the lowest ensemble found so far
-    starts = []  # (scaled eigenbasis, eigenvalues)
+    spectra = []  # (scaled eigenbasis, eigenvalues)
     stages = []  # the ensemble size of each stage, in order
     for rho in rhos:
         spec = spectral_decomposition(rho)
@@ -568,14 +695,23 @@ def roof_minimize_many(
             raise StateError(f"rank {rank} exceeds the ensemble-size cap {m}")
         base = spec.eigenvectors * np.sqrt(spec.eigenvalues)
         best.append((float(_contributions(base, fn).sum()), base))
-        starts.append((base, spec.eigenvalues))
+        spectra.append((base, spec.eigenvalues))
         # An ensemble of rank members has rank^2 - rank real freedoms (the
         # mixing unitary up to member phases). At rank 2 that is 2 against the
         # 4 real conditions for both members to sit on zeros of the
         # hyperdeterminant, so an m = 2 stage would only add cost. From rank 3
         # on the count no longer rules zero ensembles out, and zero roofs
         # reach the tolerance far sooner at m = rank than at m.
-        stages.append(() if rank == 1 else (rank, m) if 3 <= rank < m else (m,))
+        sizes = () if rank == 1 else (rank, m) if 3 <= rank < m else (m,)
+        if rank == 2 and name != "e_ms" and best[-1][0] > cfg.objective_tolerance:
+            columns = _rank2_start(name, spec.eigenvalues, spec.eigenvectors, n, partition)
+            if columns is not None and columns.shape[1] <= m:
+                cost = float(_contributions(columns, fn).sum())
+                if cost < best[-1][0]:
+                    best[-1] = (cost, columns)
+                if name == "one_tangle":
+                    sizes = ()  # Osborne's ensemble is optimal
+        stages.append(sizes)
 
     for stage in range(max(map(len, stages))):
         due = [
@@ -584,7 +720,7 @@ def roof_minimize_many(
         ]
         for m in sorted({stages[k][stage] for k in due}):
             group = [k for k in due if stages[k][stage] == m]
-            for k, found in zip(group, _polish([starts[k] for k in group], m, fn, cfg)):
+            for k, found in zip(group, _polish([spectra[k] for k in group], m, fn, cfg)):
                 if found[0] < best[k][0]:
                     best[k] = found
 

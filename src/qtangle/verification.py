@@ -61,13 +61,13 @@ def _criterion_1(cfg: RoofConfig) -> CheckRow:
         elif p < p0 - 1e-3:
             ok = ok and c > 0.0
     # Bracket the LOSU three-tangle threshold p1 with two roofs: zero (within
-    # the bound of criteria 4 and 5) just below it, clearly nonzero just above.
+    # the bound of criterion 4) just below it, clearly nonzero just above.
     p1 = formulas.p1()
     ok = ok and abs(p1 - 0.6269) <= 5e-5
     below, above = roof_minimize_many(
         [catalog.rho_ghz_w(p1 - 0.01), catalog.rho_ghz_w(p1 + 0.01)], "three_tangle", cfg
     )
-    ok = ok and below.value <= 1e-6 and above.value > 1e-4
+    ok = ok and below.value <= 1e-10 and above.value > 1e-4
     return _row("criterion_1", ok, 0.2918, p0, 5e-5)
 
 
@@ -106,7 +106,7 @@ def _criterion_3(cfg: RoofConfig) -> CheckRow:
 def _criterion_4(cfg: RoofConfig) -> CheckRow:
     rhos = [catalog.rho_abd(float(p)) for p in np.arange(0.1, 0.95, 0.1)]
     worst = max(0.0, *(r.value for r in roof_minimize_many(rhos, "three_tangle", cfg)))
-    return _row("criterion_4", worst <= 1e-6, 0.0, worst, 1e-6)
+    return _row("criterion_4", worst <= 1e-10, 0.0, worst, 1e-10)
 
 
 def _criterion_5(cfg: RoofConfig) -> CheckRow:

@@ -8,7 +8,7 @@ where the production kernels in ``qtangle._batched`` work on reshaped
 amplitudes and evaluate the three-tangle as a hyperdeterminant.
 ``losu_tau3_roof`` and ``ghz_w_one_tangle_roof`` are the exact GHZ/W
 three-tangle and one-tangle roofs from the literature, and
-``rank2_one_tangle_roof`` is Osborne's exact one-tangle roof of any rank-2 state.
+``wn_mix_one_tangle_roof`` is the exact one-tangle roof of the W_n mixtures.
 The dense polish linearization rebuilds every finite-difference probe
 ensemble in full, as the sparse production path avoids doing.
 The ``*_oracle`` builders write each mixed family and its purification out
@@ -121,36 +121,18 @@ def ghz_w_one_tangle_roof(p: float) -> float:
     return (8.0 - 4.0 * p + 5.0 * p * p) / 9.0
 
 
-def rank2_one_tangle_roof(rho: DensityMatrix, qubit: int) -> float:
-    """Exact one-tangle roof of qubit ``qubit`` for a rank-2 state.
+def wn_mix_one_tangle_roof(n: int, alpha: float) -> float:
+    """Exact one-tangle roof of qubit 0 of alpha|1...1><1...1| + (1 - alpha)|W_n><W_n|, n >= 3.
 
-    T. J. Osborne, PRA 72, 022309 (2005). A pure state in the range of rho has
-    a Bloch vector n in the eigenbasis {e0, e1}, and its reduction to the qubit
-    is sum_k x_k A_k with x = (1, n), so its one-tangle 2(1 - tr rho_q^2) is the
-    quadratic form x^T M x on the sphere |n| = 1. Adding t(1 - |n|^2) changes
-    nothing there; with t the least eigenvalue of M[1:, 1:] the form becomes
-    convex and flat along that eigenvector. It is then a convex function that
-    equals the tangle on the sphere, so no ensemble averages below its value at
-    the Bloch vector r of rho, and the two members where the flat line through
-    r meets the sphere attain it.
+    For a member a|W_n> + b|1...1> with x = |a|^2, the two branches of qubit 0
+    have orthogonal supports (Hamming weights 1 against 0 and n - 1), so
+    rho_0 = diag((n - 1)x/n, 1 - (n - 1)x/n) whatever the phases, and the
+    one-tangle 4 det rho_0 is a concave function f(x). Every ensemble has
+    mean x equal to <W|rho|W> = 1 - alpha, so its average is at least the
+    chord of f from x = 0 to x = 1 there, 4(n - 1)(1 - alpha)/n^2, and the
+    spectral ensemble attains it.
     """
-    _, vecs = np.linalg.eigh(rho.matrix)
-    basis = vecs[:, -2:]  # the range
-    n = rho.n_qubits
-    # T[i] is e_i as a (qubit, rest) matrix, so rho_q = sum c_i conj(c_j) T_i T_j^H.
-    t_mats = np.moveaxis(basis.T.reshape([2] * (n + 1)), qubit + 1, 1).reshape(2, 2, -1)
-    paulis = np.array(
-        [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
-    )
-    # |psi><psi| = (x_k sigma_k) / 2 in the range basis.
-    a_ops = 0.5 * np.einsum("kij,iac,jbc->kab", paulis, t_mats, t_mats.conj())
-    gram = np.einsum("jab,kba->jk", a_ops, a_ops).real
-    form = -2.0 * gram
-    form[0, 0] += 2.0
-    compressed = basis.conj().T @ rho.matrix @ basis
-    x_r = np.einsum("kij,ji->k", paulis, compressed).real  # (tr C, r)
-    t = float(np.linalg.eigvalsh(form[1:, 1:])[0])
-    return float(x_r @ form @ x_r + t * (1.0 - x_r[1:] @ x_r[1:]))
+    return 4.0 * (n - 1) * (1.0 - alpha) / n**2
 
 
 def psi4_kron_oracle(p: float) -> np.ndarray:

@@ -40,7 +40,7 @@ def test_criterion_3_zero_tangle_family(report):
 def test_criterion_4_roof_vanishes_on_abd(report):
     row = report.row("criterion_4")
     assert row.status == "pass"
-    assert row.direct_value <= 1e-6
+    assert row.direct_value <= 1e-10
 
 
 def test_criterion_5_bell_mixture_structure(report):

@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from qtangle import (
     DecompositionIsometry,
+    DensityMatrix,
     Ensemble,
     PovmElement,
     RoofConfig,
     StateError,
     ensemble_from_isometry,
+    concurrence,
     ghz,
     measure_env_povm,
     one_tangle,
@@ -21,13 +23,14 @@ from qtangle import (
     roof_minimize,
     roof_minimize_many,
     smolin,
+    spectral_decomposition,
     three_tangle_pure,
     w,
 )
 
 from qtangle import _batched
 from qtangle import roof as roof_module
-from qtangle.formulas import tau_a1_formula
+from qtangle.formulas import p1, tau_a1_formula
 from qtangle.roof import _contributions, _LockstepPolish, _resolve_measure
 from qtangle.sweep import SweepSpec, run_sweep
 
@@ -36,7 +39,7 @@ from helpers import (
     ghz_w_one_tangle_roof,
     losu_tau3_roof,
     random_density,
-    rank2_one_tangle_roof,
+    wn_mix_one_tangle_roof,
 )
 
 LIGHT = RoofConfig(restarts=4, max_iterations=100, seed=1)
@@ -235,25 +238,112 @@ def test_roof_matches_losu_exact_roof(fig1_roofs):
 def test_roof_matches_exact_ghz_w_one_tangle_roof(fig1_roofs):
     # The fig1 one-tangle column against Osborne's exact rank-2 roof.
     for p, res in zip(FIG1_GRID, fig1_roofs("one_tangle", 0)):
-        assert -1e-12 <= res.value - ghz_w_one_tangle_roof(p) <= 1e-9, p
+        assert abs(res.value - ghz_w_one_tangle_roof(p)) <= 1e-12, p
 
 
-def test_rank2_one_tangle_oracle_reproduces_exact_references():
-    for p in np.linspace(0.0, 1.0, 101):
-        exact = ghz_w_one_tangle_roof(float(p))
-        assert abs(rank2_one_tangle_roof(rho_ghz_w(float(p)), 0) - exact) < 1e-12, p
-    for n in (3, 4, 5):
-        value = rank2_one_tangle_roof(rho_wn_mix(n, 1.0 / (n + 1)), 0)
-        assert abs(value - tau_a1_formula(n)) < 1e-12, n
+FIG1_FINE = [float(p) for p in np.linspace(0.0, 1.0, 101)]
 
 
-def test_wn_mix_one_tangle_column_matches_rank2_roof():
-    # The wn_mix sweep column at the default config against Osborne's roof.
+def test_fig1_one_tangle_column_matches_exact_roof():
+    roofs = roof_minimize_many([rho_ghz_w(p) for p in FIG1_FINE], "one_tangle")
+    for p, res in zip(FIG1_FINE, roofs):
+        assert abs(res.value - ghz_w_one_tangle_roof(p)) <= 1e-12, p
+
+
+def test_fig1_three_tangle_zero_region_is_exact():
+    # Below p1 the exact GHZ/W roof is zero (LOSU); four zeros of the
+    # hyperdeterminant on the range hold every one of these states.
+    grid = [p for p in FIG1_FINE if p < p1()]
+    roofs = roof_minimize_many([rho_ghz_w(p) for p in grid], "three_tangle")
+    for p, res in zip(grid, roofs):
+        assert 0.0 <= res.value <= 1e-12, p
+
+
+# The seed of the two-qubit rank-2 sample of the Wootters pin.
+WOOTTERS_SEED = 2005
+
+
+def test_rank2_two_qubit_one_tangle_roofs_match_wootters():
+    # On two qubits the one-tangle of a pure state is its squared
+    # concurrence, whose roof is Wootters' C(rho)^2 at every rank.
+    rng = np.random.default_rng(WOOTTERS_SEED)
+    rhos = [random_density(rng, 2, 2) for _ in range(8)]
+    for rho, res in zip(rhos, roof_minimize_many(rhos, "one_tangle")):
+        assert abs(res.value - concurrence(rho) ** 2) <= 1e-12
+
+
+def test_wn_mix_one_tangle_oracle_matches_paper_formula():
+    for n in range(3, 10):
+        assert abs(wn_mix_one_tangle_roof(n, 1.0 / (n + 1)) - tau_a1_formula(n)) < 1e-15, n
+
+
+def test_wn_mix_one_tangle_column_matches_exact_roof():
+    # The wn_mix sweep column at the default config against the exact roof.
     spec = SweepSpec("wn_mix", 0.0, 1.0, 11, ("one_tangle_roof_A1",), RoofConfig())
     _, rows = run_sweep(spec)
     for alpha, value in rows:
-        exact = rank2_one_tangle_roof(rho_wn_mix(3, alpha), 0)
-        assert -1e-12 <= value - exact <= 1e-9, alpha
+        assert abs(value - wn_mix_one_tangle_roof(3, alpha)) <= 1e-12, alpha
+    for n in (4, 6):
+        alphas = [0.1, 0.5, 0.9]
+        roofs = roof_minimize_many([rho_wn_mix(n, a) for a in alphas], "one_tangle")
+        for alpha, res in zip(alphas, roofs):
+            assert abs(res.value - wn_mix_one_tangle_roof(n, alpha)) <= 1e-12, (n, alpha)
+
+
+@pytest.mark.parametrize(
+    "state, measure, exact",
+    [
+        (rho_ghz_w(0.3), "three_tangle", 0.0),
+        (rho_ghz_w(0.5), "three_tangle", 0.0),
+        (rho_ghz_w(0.5), "one_tangle", ghz_w_one_tangle_roof(0.5)),
+        (rho_wn_mix(3, 0.5), "one_tangle", wn_mix_one_tangle_roof(3, 0.5)),
+    ],
+    ids=["zero_0.3", "zero_0.5", "osborne_ghz_w", "osborne_wn_mix"],
+)
+def test_rank2_starts_end_the_search(monkeypatch, state, measure, exact):
+    # An exact rank-2 start ends the roof before any stage: nothing is drawn
+    # and nothing is polished.
+    def never(*args):
+        raise AssertionError("a search ran after an exact start")
+
+    monkeypatch.setattr(roof_module, "_draw_isometries", never)
+    monkeypatch.setattr(roof_module, "_polish", never)
+    res = roof_minimize(state, measure)
+    assert abs(res.value - exact) <= 1e-12
+    res.ensemble.check_mixture(state)
+
+
+def test_zero_set_start_needs_room_for_its_members(monkeypatch):
+    # Four zeros of the hyperdeterminant do not fit an ensemble of three,
+    # so the m = 3 search runs as it would without a start.
+    sizes: list[int] = []
+    polish = roof_module._polish
+
+    def recorded_polish(spectra, m, fn, config):
+        sizes.append(m)
+        return polish(spectra, m, fn, config)
+
+    monkeypatch.setattr(roof_module, "_polish", recorded_polish)
+    roof_minimize(rho_ghz_w(0.3), "three_tangle", RoofConfig(**_RANK3_LIGHT, max_ensemble_size=3))
+    assert sizes == [3]
+
+
+@pytest.mark.parametrize(
+    "n, partition", [(2, (0,)), (3, (0,)), (3, (1, 2)), (4, (0, 2)), (5, (3,))]
+)
+def test_polish_never_ends_below_the_osborne_start(n, partition):
+    # The start is exact, so a full search without it may only end above it.
+    rng = np.random.default_rng(2000 + n)
+    rhos = [random_density(rng, n, 2) for _ in range(2)]
+    fn = _resolve_measure("one_tangle", n, partition)
+    spectra = []
+    for rho in rhos:
+        spec = spectral_decomposition(rho)
+        spectra.append((spec.eigenvectors * np.sqrt(spec.eigenvalues), spec.eigenvalues))
+    searched = roof_module._polish(spectra, 4, fn, RoofConfig())
+    for rho, (cost, _) in zip(rhos, searched):
+        exact = roof_minimize(rho, "one_tangle", partition=partition).value
+        assert cost >= exact - 1e-12
 
 
 def test_roof_stops_before_budget_on_linear_branch(monkeypatch):
@@ -297,22 +387,22 @@ _RANK3_LIGHT = {"restarts": 4, "max_iterations": 100}
 
 
 @pytest.mark.parametrize(
-    "state, measure, cfg, sizes, winner",
+    "state, measure, cfg, sizes, winner, exact",
     [
-        # At rank 2 an m = 2 ensemble has too few freedoms to put both
-        # members on zeros, so only the m = 4 search runs.
-        (rho_ghz_w(0.5), "three_tangle", RoofConfig(), [4], 0),
+        # At rank 2 only the m = 4 search runs. rho_ghz_w(0.8) lies outside
+        # the convex hull of the hyperdeterminant's zeros, so no start ends it.
+        (rho_ghz_w(0.8), "three_tangle", RoofConfig(), [4], 0, losu_tau3_roof(0.8)),
         # A zero roof reached at m = rank ends the search.
-        (smolin(0.85), "e_ms", RoofConfig(), [4], 0),
+        (smolin(0.85), "e_ms", RoofConfig(), [4], 0, 0.0),
         # A nonzero roof runs both stages and keeps the lower value: at
         # restart seed 1 the m = 6 stage ends lower, at seed 4 the m = 3 one.
-        (_RANK3, "three_tangle", RoofConfig(**_RANK3_LIGHT, seed=1), [3, 6], 1),
-        (_RANK3, "three_tangle", RoofConfig(**_RANK3_LIGHT, seed=4), [3, 6], 0),
-        (_RANK3, "three_tangle", RoofConfig(**_RANK3_LIGHT, max_ensemble_size=3), [3], 0),
+        (_RANK3, "three_tangle", RoofConfig(**_RANK3_LIGHT, seed=1), [3, 6], 1, None),
+        (_RANK3, "three_tangle", RoofConfig(**_RANK3_LIGHT, seed=4), [3, 6], 0, None),
+        (_RANK3, "three_tangle", RoofConfig(**_RANK3_LIGHT, max_ensemble_size=3), [3], 0, None),
     ],
     ids=["rank2", "zero_at_rank", "wide_wins", "rank_wins", "cap_at_rank"],
 )
-def test_roof_stages(monkeypatch, state, measure, cfg, sizes, winner):
+def test_roof_stages(monkeypatch, state, measure, cfg, sizes, winner, exact):
     drawn: list[int] = []
     values: list[float] = []
     draw, polish = roof_module._draw_isometries, roof_module._polish
@@ -331,10 +421,10 @@ def test_roof_stages(monkeypatch, state, measure, cfg, sizes, winner):
     res = roof_minimize(state, measure, cfg)
     assert drawn == sizes
     assert res.value == min(values) == values[winner]
-    if state is _RANK3:
+    if exact is None:
         assert res.value > 1e-2
     else:
-        assert res.value <= 1e-8
+        assert -1e-12 <= res.value - exact <= 2e-8
     res.ensemble.check_mixture(state)
 
 
@@ -359,14 +449,16 @@ def test_roof_minimize_many_matches_single_roofs_on_fig1_grid(fig1_roofs, measur
 
 
 def test_roof_minimize_many_runs_one_loop_per_stage_and_size(monkeypatch):
-    # A rank-1 state, a spectral exit, two rank-2 states at m = 4 and _RANK3
-    # through both stages (m = 3, then m = 6), in one batch.
+    # A rank-1 state, a spectral exit, two rank-2 states at m = 4, _RANK3
+    # through both stages (m = 3, then m = 6) and a rank-2 state that ends on
+    # its zero-set start, in one batch.
     states = [
         ghz(3).density(),
         partial_trace(smolin(0.8), (0, 1, 2)),
-        rho_ghz_w(0.5),
+        rho_ghz_w(0.8),
         _RANK3,
-        rho_ghz_w(0.3),
+        rho_ghz_w(0.9),
+        rho_ghz_w(0.5),
     ]
     cfg = RoofConfig(**_RANK3_LIGHT, seed=1)
     loops: list[tuple[int, int]] = []
@@ -383,6 +475,7 @@ def test_roof_minimize_many_runs_one_loop_per_stage_and_size(monkeypatch):
     _assert_same_roofs(batch, [roof_minimize(rho, "three_tangle", cfg) for rho in states])
     assert loops == [(4, 1), (3, 1), (6, 1), (4, 1)]
     assert batch[3].value > 1e-2
+    assert batch[5].value <= 1e-12
 
 
 def test_roof_minimize_many_checks_every_mixture(monkeypatch):
@@ -416,7 +509,14 @@ def test_roof_minimize_many_edges():
     assert roof_minimize_many([], "three_tangle") == []
     # Arguments that are wrong at any register size are refused with or
     # without states; the range of a qubit index waits for a state.
-    bad = [(None, None), ("nope", (0,)), (3, (0,)), ("one_tangle", None), ("e_ms", (0.5,))]
+    bad = [
+        (None, None),
+        ("nope", (0,)),
+        ("three_tangle_pure", (0,)),
+        (3, (0,)),
+        ("one_tangle", None),
+        ("e_ms", (0.5,)),
+    ]
     for measure, partition in bad:
         for rhos in ([], [rho_ghz_w(0.5)]):
             with pytest.raises(StateError):
@@ -434,7 +534,7 @@ def test_roof_minimize_many_edges():
 
 @pytest.mark.parametrize(
     "state, measure",
-    [(rho_ghz_w(0.5), "three_tangle"), (smolin(0.85), "e_ms")],
+    [(rho_ghz_w(0.8), "three_tangle"), (smolin(0.85), "e_ms")],
     ids=["ghz_w", "smolin"],
 )
 def test_roof_determinism(state, measure):
@@ -511,20 +611,40 @@ def test_polish_iterate_only_prices(m):
     assert np.array_equal(res_new, res)
 
 
+def _separable(rng: np.random.Generator, rank: int) -> DensityMatrix:
+    """A mixture of ``rank`` random three-qubit product states: its roof is zero."""
+    weights = rng.dirichlet(np.ones(rank))
+    mat = np.zeros((8, 8), dtype=complex)
+    for wgt in weights:
+        amps = np.ones(1, dtype=complex)
+        for _ in range(3):
+            q = rng.normal(size=2) + 1j * rng.normal(size=2)
+            amps = np.kron(amps, q / np.linalg.norm(q))
+        mat += wgt * np.outer(amps, amps.conj())
+    return DensityMatrix(mat, 3)
+
+
 @pytest.mark.parametrize(
     "state, measure, kernel",
     [
         (rho_ghz_w(0.8), "three_tangle", "three_tangle_batch"),
-        (rho_ghz_w(0.3), "three_tangle", "three_tangle_batch"),
-        (rho_wn_mix(3, 0.5), "one_tangle", "one_tangle_batch"),
+        # Zero roofs of rank 3 are out of the starts' reach; this one runs
+        # both stages, m = 3 and then m = 6.
+        (_separable(np.random.default_rng(1), 3), "three_tangle", "three_tangle_batch"),
+        (random_density(np.random.default_rng(0), 3, 3), "one_tangle", "one_tangle_batch"),
     ],
     ids=["budget", "zero", "one_tangle"],
 )
 def test_roof_computes_only_jacobians_the_next_step_uses(monkeypatch, state, measure, kernel):
-    # Log every kernel call, Jacobian and step of one whole roof.
+    # Log every draw, kernel call, Jacobian and step of one whole roof.
     events = []
     batched = getattr(_batched, kernel)
+    draw = roof_module._draw_isometries
     jacobian, iterate = _LockstepPolish.jacobian, _LockstepPolish.iterate
+
+    def logged_draw(*args):
+        events.append(("draw", None))
+        return draw(*args)
 
     def logged_kernel(states, *args):
         events.append(("kernel", states.shape[0]))
@@ -541,20 +661,23 @@ def test_roof_computes_only_jacobians_the_next_step_uses(monkeypatch, state, mea
         return out
 
     monkeypatch.setattr(_batched, kernel, logged_kernel)
+    monkeypatch.setattr(roof_module, "_draw_isometries", logged_draw)
     monkeypatch.setattr(_LockstepPolish, "jacobian", logged_jacobian)
     monkeypatch.setattr(_LockstepPolish, "iterate", logged_iterate)
     roof_minimize(state, measure, RoofConfig(restarts=6, max_iterations=60, seed=3))
 
     steps = [i for i, (kind, _) in enumerate(events) if kind == "step"]
     assert len(steps) > 1
-    moved = None  # columns accepted by the previous step; None before the first
+    moved = None  # columns accepted by the previous step; None before a stage's first
     for i, (kind, w) in enumerate(events):
+        if kind == "draw":
+            moved = None
         if kind == "stepped":
             moved = {row.tobytes() for row in w}
         if kind != "step":
             continue
         # The restarts this step moves whose columns changed in their last
-        # step, in restart order: all of them on the first step.
+        # step, in restart order: all of them on a stage's first step.
         stale = np.array([moved is None or row.tobytes() in moved for row in w])
         if stale.any():
             kind_before, w_before = events[i - 2]
