@@ -86,24 +86,23 @@ def three_tangle_batch(states: np.ndarray) -> np.ndarray:
 
 
 def hyperdeterminant_batch(states: np.ndarray) -> np.ndarray:
-    """Cayley's hyperdeterminant D = d1 - 2 d2 + 4 d3 of each (K, 8) row, complex.
+    """Cayley's hyperdeterminant D of each (K, 8) row, complex.
 
-    D is a homogeneous quartic in the amplitudes, so rows need not be normalized.
+    With A0 and A1 the 2x2 slices of a row at qubit 0 = 0 and 1,
+    det(A0 + x A1) = c0 + c1 x + c2 x^2, and D is its discriminant
+    c1^2 - 4 c0 c2: 17 array operations, where the expanded d1 - 2 d2 + 4 d3
+    of Coffman, Kundu and Wootters takes about 45. Both are the same complex
+    quartic, phase included, which the roof's zero-set start relies on when
+    it fits a quartic to D on a range. D is homogeneous in the amplitudes,
+    so rows need not be normalized.
     """
     a = states.reshape(-1, 2, 2, 2)
     a000, a001, a010, a011 = a[:, 0, 0, 0], a[:, 0, 0, 1], a[:, 0, 1, 0], a[:, 0, 1, 1]
     a100, a101, a110, a111 = a[:, 1, 0, 0], a[:, 1, 0, 1], a[:, 1, 1, 0], a[:, 1, 1, 1]
-    d1 = a000**2 * a111**2 + a001**2 * a110**2 + a010**2 * a101**2 + a100**2 * a011**2
-    d2 = (
-        a000 * a111 * a011 * a100
-        + a000 * a111 * a101 * a010
-        + a000 * a111 * a110 * a001
-        + a011 * a100 * a101 * a010
-        + a011 * a100 * a110 * a001
-        + a101 * a010 * a110 * a001
-    )
-    d3 = a000 * a110 * a101 * a011 + a111 * a001 * a010 * a100
-    return d1 - 2.0 * d2 + 4.0 * d3
+    c0 = a000 * a011 - a001 * a010
+    c1 = a000 * a111 + a100 * a011 - a001 * a110 - a101 * a010
+    c2 = a100 * a111 - a101 * a110
+    return c1 * c1 - 4.0 * c0 * c2
 
 
 def e_ms_batch(states: np.ndarray, n: int) -> np.ndarray:

@@ -9,10 +9,12 @@ residuals sqrt(p_i * measure_i)) takes it down, to 1e-8 and below on states
 whose optimal ensembles sit in narrow curved valleys. Each step first
 linearizes the restarts that moved in their last step: one kernel call over the
 2m^2 - m member columns their finite-difference probes change (one per diagonal
-generator, two per off-diagonal one). It then prices the candidates, one call
-of m rows per restart. A restart retires after 7 straight rejections, or when
-even its recent pace over the remaining budget would leave it more than the
-tolerance above the best.
+generator, two per off-diagonal one). It solves each restart's damped system
+in the m-dimensional residual space, not over the m^2 parameters, and then
+prices the candidates, one call of m rows per restart. A singular system
+sends only its own restart to the plain gradient step. A restart retires after
+7 straight rejections, or when even its recent pace over the remaining budget
+would leave it more than the tolerance above the best.
 
 Restart draws alternate between Haar isometries and, when the spectrum has a
 degenerate cluster, block-diagonal draws that keep each cluster's members inside
@@ -48,11 +50,9 @@ ensemble size, which pays the per-step NumPy overhead once for the batch
 instead of once per state. The stops stay per state: the tolerance, the
 seven-rejection rule and the pace rule each read that state's own restarts,
 and a state enters a stage only if its own best is above the tolerance.
-Every restart's arithmetic is independent of the others in its kernel calls,
-so each roof is bit-identical to a search of its state alone;
-``roof_minimize`` is the one-state case. The one exception is a singular
-damped system, which sends every restart of that step to the plain gradient
-step; with the damping on its diagonal it has not been seen to occur.
+Every restart's arithmetic is independent of the others, in its kernel calls
+and in its damped solve, so each roof is bit-identical to a search of its
+state alone; ``roof_minimize`` is the one-state case.
 """
 
 from __future__ import annotations
@@ -362,12 +362,14 @@ class _LockstepPolish:
     generator and in two for an off-diagonal one; every other member comes out
     as an exact copy whose Jacobian entry is exactly zero. So ``jacobian``
     evaluates only the 2m^2 - m probed members and differences them against
-    residuals already priced. ``iterate`` only prices: it makes one kernel
-    call on the m candidate members of every restart. The caller computes the
-    Jacobian at the top of a step, only for restarts whose columns moved in
-    their last step; a rejected step leaves the columns untouched, so its
-    residuals and Jacobian stay exact and are kept. Each row of a kernel call
-    is computed on its own, so the split changes no value.
+    residuals already priced. ``iterate`` solves each restart's damped step
+    as an m x m system (``_damped_steps``) and only prices: it makes one
+    kernel call on the m candidate members of every restart. The caller
+    computes the Jacobian at the top of a step, only for restarts whose
+    columns moved in their last step; a rejected step leaves the columns
+    untouched, so its residuals and Jacobian stay exact and are kept. Each
+    row of a kernel call is computed on its own, so the split changes no
+    value.
 
     STEP is small because the three-tangle residual sqrt(4|D(w)|)/|w| has a
     cusp at every zero of the hyperdeterminant D. Near a zero-valued roof the
@@ -413,15 +415,7 @@ class _LockstepPolish:
         fn: Callable[[np.ndarray], np.ndarray],
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One damped step per restart; returns (w, cost, damping, accept, res)."""
-        grad = np.einsum("rpm,rm->rp", jac, res)
-        hess = jac @ jac.transpose(0, 2, 1)
-        # The damping goes onto the diagonal in place, so a wide batch holds
-        # one (R, P, P) array, not three.
-        hess.reshape(hess.shape[0], -1)[:, :: self.n_params + 1] += damping[:, None]
-        try:
-            delta = np.linalg.solve(hess, -grad[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            delta = -grad / np.maximum(damping, 1.0)[:, None]
+        delta = _damped_steps(jac, res, damping)
         # A plain product: each generator entry has a single nonzero term in
         # its real and in its imaginary part, so the result is exact.
         gen = (delta @ self.dirs.reshape(self.n_params, -1)).reshape(-1, self.m, self.m)
@@ -437,6 +431,29 @@ class _LockstepPolish:
         damping = np.clip(damping, 1e-13, 1e8)
         res = np.where(accept[:, None], np.sqrt(cand_contrib), res)
         return w, cost, damping, accept, res
+
+
+def _damped_steps(jac: np.ndarray, res: np.ndarray, damping: np.ndarray) -> np.ndarray:
+    """The Levenberg-Marquardt step (R, P) of every restart, solved in the
+    m-dimensional residual space.
+
+    With J the P x m Jacobian and lam > 0, (J J^T + lam I_P)^{-1} J r equals
+    J (J^T J + lam I_m)^{-1} r, so the step is -J y with
+    (J^T J + lam I_m) y = r. A restart whose system is singular takes the
+    plain gradient step -J r / max(lam, 1) instead; the others are re-solved
+    one at a time, so no restart's step depends on another's.
+    """
+    gram = jac.transpose(0, 2, 1) @ jac + damping[:, None, None] * np.eye(jac.shape[2])
+    try:
+        y = np.linalg.solve(gram, res[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if jac.shape[0] == 1:
+            return -np.einsum("rpm,rm->rp", jac, res) / max(damping[0], 1.0)
+        return np.concatenate(
+            [_damped_steps(jac[k : k + 1], res[k : k + 1], damping[k : k + 1])
+             for k in range(jac.shape[0])]
+        )
+    return -np.einsum("rpm,rm->rp", jac, y)
 
 
 def _polish(

@@ -9,8 +9,12 @@ amplitudes and evaluate the three-tangle as a hyperdeterminant.
 ``losu_tau3_roof`` and ``ghz_w_one_tangle_roof`` are the exact GHZ/W
 three-tangle and one-tangle roofs from the literature, and
 ``wn_mix_one_tangle_roof`` is the exact one-tangle roof of the W_n mixtures.
+``hyperdeterminant_oracle`` expands Cayley's hyperdeterminant term by term,
+where the production kernel takes a discriminant of two 2x2 slices.
 The dense polish linearization rebuilds every finite-difference probe
-ensemble in full, as the sparse production path avoids doing.
+ensemble in full, as the sparse production path avoids doing, and
+``dense_lm_step`` solves the damped step over all m^2 parameters, where the
+production step solves an m x m system in the residual space.
 The ``*_oracle`` builders write each mixed family and its purification out
 term by term, from fresh ``ghz``, ``w`` and ``bell`` states and Kronecker
 products, where the catalog derives both from one weight rule over a constant
@@ -87,6 +91,24 @@ def e_ms_oracle(psi: StateVector) -> float:
         concurrence(partial_trace(psi, pair)) ** 2 for pair in combinations(range(n), 2)
     )
     return (tau_sum - 2.0 * c_sq_sum) / n
+
+
+def hyperdeterminant_oracle(states: np.ndarray) -> np.ndarray:
+    """Cayley's hyperdeterminant d1 - 2 d2 + 4 d3 of each (K, 8) row, expanded."""
+    a = states.reshape(-1, 2, 2, 2)
+    a000, a001, a010, a011 = a[:, 0, 0, 0], a[:, 0, 0, 1], a[:, 0, 1, 0], a[:, 0, 1, 1]
+    a100, a101, a110, a111 = a[:, 1, 0, 0], a[:, 1, 0, 1], a[:, 1, 1, 0], a[:, 1, 1, 1]
+    d1 = a000**2 * a111**2 + a001**2 * a110**2 + a010**2 * a101**2 + a100**2 * a011**2
+    d2 = (
+        a000 * a111 * a011 * a100
+        + a000 * a111 * a101 * a010
+        + a000 * a111 * a110 * a001
+        + a011 * a100 * a101 * a010
+        + a011 * a100 * a110 * a001
+        + a101 * a010 * a110 * a001
+    )
+    d3 = a000 * a110 * a101 * a011 + a111 * a001 * a010 * a100
+    return d1 - 2.0 * d2 + 4.0 * d3
 
 
 def losu_tau3_roof(p: float) -> float:
@@ -213,3 +235,12 @@ def dense_linearize(w: np.ndarray, fn, step: float) -> tuple[np.ndarray, np.ndar
     probed = np.einsum("rdm,pmn->prdn", w, probe)
     res = np.sqrt(_contributions(probed, fn))  # (m^2 + 1, R, m)
     return res[0], (res[1:] - res[0]).swapaxes(0, 1) / step
+
+
+def dense_lm_step(jac: np.ndarray, res: np.ndarray, damping: np.ndarray) -> np.ndarray:
+    """Levenberg-Marquardt steps (R, P) from the P x P normal equations
+    (J J^T + lam I_P) delta = -J r of every (P, m) Jacobian J."""
+    n_params = jac.shape[1]
+    hess = jac @ jac.transpose(0, 2, 1) + damping[:, None, None] * np.eye(n_params)
+    grad = np.einsum("rpm,rm->rp", jac, res)
+    return np.linalg.solve(hess, -grad[..., None])[..., 0]

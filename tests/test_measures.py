@@ -26,6 +26,7 @@ from qtangle._batched import (
     _pair_spin_flip_matrix,
     concurrence_sq_batch,
     e_ms_batch,
+    hyperdeterminant_batch,
     one_tangle_batch,
     three_tangle_batch,
 )
@@ -35,6 +36,7 @@ from helpers import (
     ckw_residual_oracle,
     concurrence_oracle,
     e_ms_oracle,
+    hyperdeterminant_oracle,
     one_tangle_oracle,
     random_density,
     random_state,
@@ -130,6 +132,27 @@ def test_three_tangle_kernel_properties(parts, order):
     assert 0.0 <= tau <= 1.0 + 1e-12
     assert abs(tau - ckw_residual_oracle(StateVector(amps, 3))) < 1e-9
     assert abs(tau - tau_permuted) < 1e-12
+
+
+def test_hyperdeterminant_matches_expanded_oracle():
+    # Unnormalized rows over six decades of scale: D is a quartic, so the
+    # error is measured against the fourth power of the row norm.
+    rng = np.random.default_rng(43)
+    rows = (rng.normal(size=(500, 8)) + 1j * rng.normal(size=(500, 8))) * 10.0 ** rng.uniform(
+        -3.0, 3.0, size=(500, 1)
+    )
+    scale = np.linalg.norm(rows, axis=1) ** 4
+    err = np.abs(hyperdeterminant_batch(rows) - hyperdeterminant_oracle(rows))
+    assert np.all(err <= 1e-12 * scale)
+    # 1/sqrt(2) is inexact, so the products of ghz(3)'s amplitudes round and
+    # D comes out within 2^-53 of 1/4. With the binary-exact amplitudes of
+    # ((1 + i)|000> + (1 - i)|111>)/2, a GHZ state up to a local phase, every
+    # product is exact and so is D = 1/4.
+    ghz_exact = np.zeros(8, dtype=complex)
+    ghz_exact[0], ghz_exact[7] = 0.5 + 0.5j, 0.5 - 0.5j
+    assert hyperdeterminant_batch(ghz_exact[None])[0] == 0.25
+    assert abs(hyperdeterminant_batch(ghz(3).amplitudes[None])[0] - 0.25) <= 2.0**-53
+    assert hyperdeterminant_batch(w(3).amplitudes[None])[0] == 0.0
 
 
 def test_three_tangle_qubit_choice_irrelevant():

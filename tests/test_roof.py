@@ -31,11 +31,18 @@ from qtangle import (
 from qtangle import _batched
 from qtangle import roof as roof_module
 from qtangle.formulas import p1, tau_a1_formula
-from qtangle.roof import _contributions, _LockstepPolish, _resolve_measure
+from qtangle.roof import (
+    _contributions,
+    _damped_steps,
+    _draw_isometries,
+    _LockstepPolish,
+    _resolve_measure,
+)
 from qtangle.sweep import SweepSpec, run_sweep
 
 from helpers import (
     dense_linearize,
+    dense_lm_step,
     ghz_w_one_tangle_roof,
     losu_tau3_roof,
     random_density,
@@ -609,6 +616,57 @@ def test_polish_iterate_only_prices(m):
     assert calls == [m * restarts]
     assert np.array_equal(w_new, w)
     assert np.array_equal(res_new, res)
+
+
+@pytest.mark.parametrize(
+    "state, measure, m",
+    [
+        (rho_ghz_w(0.8), "three_tangle", 4),
+        (random_density(np.random.default_rng(3), 3, 2), "one_tangle", 4),
+        (random_density(np.random.default_rng(2), 4, 4), "e_ms", 8),
+        (random_density(np.random.default_rng(3), 2, 4), "one_tangle", 8),
+    ],
+)
+def test_residual_space_step_matches_dense_normal_equations(state, measure, m):
+    spec = spectral_decomposition(state)
+    base = spec.eigenvectors * np.sqrt(spec.eigenvalues)
+    w = base[None] @ _draw_isometries(5, 6, m, spec.eigenvalues).conj().transpose(0, 2, 1)
+    fn = _resolve_measure(measure, state.n_qubits, (0,))
+    res, jac = dense_linearize(w, fn, _LockstepPolish.STEP)
+    # Below about 1e-6 damping the P x P oracle itself loses digits: its
+    # condition number grows as |J|^2 / damping, the m x m system's does not.
+    for lam in (1e-4, 1e-2, 1.0, 1e2, 1e8):
+        damping = np.full(w.shape[0], lam)
+        step, dense = _damped_steps(jac, res, damping), dense_lm_step(jac, res, damping)
+        scale = np.max(np.abs(dense), axis=1, keepdims=True)
+        assert np.all(np.abs(step - dense) <= 1e-9 * scale)
+
+
+def test_singular_damped_system_falls_back_for_its_restart_alone():
+    rng = np.random.default_rng(103)
+    m, restarts, bad = 4, 5, 2
+    fn = _resolve_measure("three_tangle", 3, (0,))
+    polish = _LockstepPolish(m)
+    w = _random_columns(rng, restarts, 8, m) / 4.0
+    contrib = _contributions(w, fn)
+    res = np.sqrt(contrib)
+    jac = polish.jacobian(w, res, fn)
+    damping = np.full(restarts, 1e-2)
+    # A zero Jacobian with zero damping makes restart 2's system exactly singular.
+    jac[bad] = 0.0
+    damping[bad] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(jac[bad].T @ jac[bad], res[bad])
+    cost = contrib.sum(axis=1)
+    out = polish.iterate(w, cost, damping, res, jac, fn)
+    rest = np.arange(restarts) != bad
+    alone = polish.iterate(w[rest], cost[rest], damping[rest], res[rest], jac[rest], fn)
+    assert alone[3].any()
+    for got, expect in zip(out, alone):
+        assert np.array_equal(got[rest], expect)
+    # The failed restart took the gradient step, which is zero here: it stays.
+    assert not out[3][bad]
+    assert np.array_equal(out[0][bad], w[bad])
 
 
 def _separable(rng: np.random.Generator, rank: int) -> DensityMatrix:

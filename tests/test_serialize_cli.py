@@ -108,6 +108,64 @@ def test_load_state_accepts_any_row_order(tmp_path):
     assert np.array_equal(load_state(path).amplitudes, [1.0, 0.0])
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# One cell on one line: no comma, no control or line-separator character.
+_NON_NUMERIC = st.text(
+    st.characters(exclude_categories=("Cs", "Cc", "Zl", "Zp"), exclude_characters=","),
+    max_size=6,
+).filter(lambda text: not _is_number(text))
+_NON_INTEGER = st.floats().filter(lambda x: not x.is_integer()).map(repr)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.data())
+def test_load_state_round_trips_and_refuses_broken_files(tmp_path_factory, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if data.draw(st.booleans(), label="matrix"):
+        n = data.draw(st.integers(1, 2), label="n")
+        state = random_density(rng, n, data.draw(st.integers(1, 2**n), label="rank"))
+        entries, n_keys = state.matrix, 2
+    else:
+        n = data.draw(st.integers(1, 3), label="n")
+        state = random_state(rng, n)
+        entries, n_keys = state.amplitudes, 1
+    path = tmp_path_factory.getbasetemp() / "state.csv"
+    save_state(path, state)
+    header, *rows = path.read_text().splitlines()
+    rows = [rows[k] for k in data.draw(st.permutations(range(len(rows))), label="order")]
+
+    def load(body: list[str]):
+        path.write_text("\n".join([header, *body]) + "\n")
+        return load_state(path)
+
+    loaded = load(rows)
+    assert type(loaded) is type(state)
+    assert np.array_equal(loaded.matrix if n_keys == 2 else loaded.amplitudes, entries)
+
+    k = data.draw(st.integers(0, len(rows) - 1), label="row")
+    cells = rows[k].split(",")
+    col = data.draw(st.integers(0, len(cells) - 1), label="column")
+    non_numeric = cells[:col] + [data.draw(_NON_NUMERIC, label="cell")] + cells[col + 1 :]
+    key = data.draw(st.integers(0, n_keys - 1), label="index column")
+    non_integer = cells[:key] + [data.draw(_NON_INTEGER, label="index")] + cells[key + 1 :]
+    broken = [
+        rows[:k] + rows[k + 1 :],
+        rows[:k] + [rows[k]] + rows[k:],
+        rows[:k] + [",".join(non_numeric)] + rows[k + 1 :],
+        rows[:k] + [",".join(non_integer)] + rows[k + 1 :],
+    ]
+    for body in broken:
+        with pytest.raises(StateError):
+            load(body)
+
+
 def test_sweep_spec_validation():
     cfg = RoofConfig()
     with pytest.raises(StateError):
