@@ -71,7 +71,7 @@ def concurrence(rho: DensityMatrix) -> float:
     """
     if rho.n_qubits != 2:
         raise StateError(f"concurrence needs 2 qubits, got {rho.n_qubits}")
-    vals, vecs = np.linalg.eigh(rho.matrix)
+    vals, vecs = rho._eigh
     x = vecs * np.sqrt(_clean_spectrum(vals))
     lam = np.linalg.svd(x.T @ _YY @ x, compute_uv=False)
     # The singular-value difference goes genuinely negative on separable states;

@@ -1,62 +1,40 @@
 """Convex-roof extension of pure-state measures by ensemble-decomposition search.
 
 Every decomposition of a rank-r state into m pure pieces is an m x r isometry
-applied to the scaled eigenbasis, so the roof minimum is a search over the
-Stiefel manifold. The optimizer has two phases and runs seeded random
-restarts in lockstep: each restart draws an isometry, then a batched
-Levenberg-Marquardt polish of the member-mixing unitary (Cayley-parameterized,
-residuals sqrt(p_i * measure_i)) takes it down, to 1e-8 and below on states
-whose optimal ensembles sit in narrow curved valleys. Each step first
-linearizes the restarts that moved in their last step: one kernel call over the
-2m^2 - m member columns their finite-difference probes change (one per diagonal
-generator, two per off-diagonal one). It solves each restart's damped system
-in the m-dimensional residual space, not over the m^2 parameters, and then
-prices the candidates, one call of m rows per restart. A singular system
-sends only its own restart to the plain gradient step. A restart retires after
-7 straight rejections, or when even its recent pace over the remaining budget
-would leave it more than the tolerance above the best.
+applied to the scaled eigenbasis B, so the roof minimum is a search over the
+Stiefel manifold. Seeded random restarts run in lockstep: each draws an
+isometry, then a batched Levenberg-Marquardt polish of the member-mixing
+unitary (Cayley-parameterized, residuals sqrt(p_i * measure_i)) takes it
+down, to 1e-8 and below on states whose optimal ensembles sit in narrow
+curved valleys. A restart carries the r x m coordinates C of its members
+w = B C, which exist only as kernel rows; a probe mixes at most two members.
+A restart retires after 7 straight rejections, or when even its recent pace
+over the remaining budget would leave it more than the tolerance above the
+best. The live restarts are kept compact, gathered again only after a
+retirement or a pace check.
 
 Restart draws alternate between Haar isometries and, when the spectrum has a
 degenerate cluster, block-diagonal draws that keep each cluster's members inside
 its own eigenspace; degenerate states (where the eigenbasis is arbitrary inside
 a cluster) are exactly the ones whose optima need that alignment.
 
-Each state keeps one running best, which starts as its spectral ensemble
-(the scaled eigenbasis). A rank-2 state whose spectral best is above the
-tolerance then gets an exact start, when one exists and has at most m
-members:
+``roof_minimize`` sets out the search order: a running best from the
+spectral ensemble, an exact start at rank 2, then up to two draw-and-polish
+stages. The stage at r members, for ranks of 3 or more below m, is there
+because zero roofs, such as the e_ms roof of the Smolin-type mixtures, get
+there far sooner with r members than with m.
 
-- for the one-tangle of any partition, Osborne's optimal two-member
-  ensemble; it ends the search, so no stage runs after it;
-- for the three-tangle, up to four zeros of the hyperdeterminant on the
-  range, when the state lies in their convex hull; its roof is then zero,
-  and the start ends the search at the tolerance.
-
-The search then runs up to two stages, each a full draw-and-polish run, and
-a stage runs only while the best is still above the tolerance. When the rank
-r is at least 3 and the ensemble size m exceeds it, the first stage polishes
-ensembles of r members: zero roofs, such as the e_ms roof of the Smolin-type
-mixtures, get there far sooner with r members than with m. The second stage
-runs at m, exactly as a single-stage search would. At rank 2 only the m
-stage runs, and at rank 1 none. A start or a stage's ensemble replaces the
-best only when its cost, priced by the same kernel, is strictly lower, so
-neither raises a roof; ties go to the spectral ensemble, then to the start,
-then to the m = r stage, then to the m stage, and within a stage to the
-lowest restart index.
-
-``roof_minimize_many`` searches several states of one register size at once:
-each stage polishes the restarts of all its states in one lockstep loop per
-ensemble size, which pays the per-step NumPy overhead once for the batch
-instead of once per state. The stops stay per state: the tolerance, the
-seven-rejection rule and the pace rule each read that state's own restarts,
-and a state enters a stage only if its own best is above the tolerance.
-Every restart's arithmetic is independent of the others, in its kernel calls
-and in its damped solve, so each roof is bit-identical to a search of its
+``roof_minimize_many`` polishes the restarts of all its states in one
+lockstep loop per stage, ensemble size and rank, paying the per-step NumPy
+overhead once per batch. Every stop rule reads the state's own restarts, and
+every restart's arithmetic, in its kernel calls and its damped solve, is
+independent of the others, so each roof is bit-identical to a search of its
 state alone; ``roof_minimize`` is the one-state case.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -264,7 +242,7 @@ def _ensemble_from_columns(columns: np.ndarray, n_qubits: int) -> Ensemble:
 
 
 # --------------------------------------------------------------------------
-# optimizer internals, all operating on stacks of member-column matrices
+# optimizer internals
 
 
 def _contributions(
@@ -276,6 +254,26 @@ def _contributions(
     states = (columns / safe[..., None, :]).swapaxes(-1, -2)
     flat = np.ascontiguousarray(states.reshape(-1, columns.shape[-2]))
     vals = fn(flat).reshape(norms.shape)
+    vals = np.where(norms > 1e-14, vals, 0.0)
+    return np.maximum(norms * vals, 0.0)
+
+
+def _range_contributions(
+    coords: np.ndarray,
+    basis_t: np.ndarray,
+    eigenvalues: np.ndarray,
+    fn: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """_contributions of the members B C of coordinates C (..., r, k), given
+    B^T (..., r, dim) and the squared norms ``eigenvalues`` (..., r) of B's
+    orthogonal columns."""
+    terms = eigenvalues[..., None] * (coords.real**2 + coords.imag**2)
+    norms = terms[..., 0, :]  # row by row, faster than .sum(axis=-2)
+    for j in range(1, terms.shape[-2]):
+        norms = norms + terms[..., j, :]
+    safe = np.sqrt(np.maximum(norms, 1e-300))
+    states = (coords / safe[..., None, :]).swapaxes(-1, -2) @ basis_t
+    vals = fn(states.reshape(-1, states.shape[-1])).reshape(norms.shape)
     vals = np.where(norms > 1e-14, vals, 0.0)
     return np.maximum(norms * vals, 0.0)
 
@@ -331,45 +329,41 @@ def _blocked_draw(
 def _generator_directions(m: int) -> np.ndarray:
     """Basis of the anti-Hermitian m x m generators, as an (m*m, m, m) stack."""
     dirs = np.zeros((m * m, m, m), dtype=complex)
-    idx = 0
-    for d in range(m):
-        dirs[idx, d, d] = 1j
-        idx += 1
-    for i in range(m):
-        for j in range(i + 1, m):
-            dirs[idx, i, j] = 1.0
-            dirs[idx, j, i] = -1.0
-            idx += 1
-            dirs[idx, i, j] = 1j
-            dirs[idx, j, i] = 1j
-            idx += 1
+    diag = np.arange(m)
+    dirs[diag, diag, diag] = 1j
+    i, j = np.triu_indices(m, 1)  # each pair: a real, then an imaginary generator
+    k = m + 2 * np.arange(i.size)
+    dirs[k, i, j], dirs[k, j, i] = 1.0, -1.0
+    dirs[k + 1, i, j], dirs[k + 1, j, i] = 1j, 1j
     return dirs
+
+
+@functools.cache
+def _identity(m: int) -> np.ndarray:
+    """The complex m x m identity, read-only, built once per size."""
+    eye = np.eye(m, dtype=complex)
+    eye.setflags(write=False)
+    return eye
 
 
 def _cayley(gen: np.ndarray) -> np.ndarray:
     """(I + A)^{-1} (I - A), unitary for anti-Hermitian A, identity at A = 0."""
-    eye = np.eye(gen.shape[-1], dtype=complex)
+    eye = _identity(gen.shape[-1])
     return np.linalg.solve(eye + gen, eye - gen)
 
 
 class _LockstepPolish:
     """Batched Levenberg-Marquardt on the member-mixing unitary of every restart.
 
-    Residuals are sqrt(p_i * measure_i); each iteration recenters the Cayley
-    parameterization at the current columns, so the finite-difference probes
-    are fixed and shared across restarts and iterations. A probe
-    cayley(STEP * dir) differs from the identity in one column for a diagonal
-    generator and in two for an off-diagonal one; every other member comes out
-    as an exact copy whose Jacobian entry is exactly zero. So ``jacobian``
-    evaluates only the 2m^2 - m probed members and differences them against
-    residuals already priced. ``iterate`` solves each restart's damped step
-    as an m x m system (``_damped_steps``) and only prices: it makes one
-    kernel call on the m candidate members of every restart. The caller
-    computes the Jacobian at the top of a step, only for restarts whose
-    columns moved in their last step; a rejected step leaves the columns
-    untouched, so its residuals and Jacobian stay exact and are kept. Each
-    row of a kernel call is computed on its own, so the split changes no
-    value.
+    A step maps coordinates C to C cayley(gen), recentered at C, so the probes
+    cayley(STEP * dir) are fixed and shared. A probe changes one member (two
+    for an off-diagonal generator) into a mix of at most two; ``jacobian``
+    prices only these 2m^2 - m members, as the others' entries are exactly
+    zero. ``iterate`` solves each damped step as an m x m system and prices
+    the m candidates of every restart in one call. A rejected step leaves
+    everything exact, so the caller recomputes the Jacobian only for
+    restarts that moved. Kernel rows are independent, so no batch split
+    changes a value.
 
     STEP is small because the three-tangle residual sqrt(4|D(w)|)/|w| has a
     cusp at every zero of the hyperdeterminant D. Near a zero-valued roof the
@@ -388,49 +382,52 @@ class _LockstepPolish:
         probes = _cayley(self.STEP * self.dirs)
         # (parameter, column) of every probed member, parameter-major.
         self.probed_param, self.probed_col = np.nonzero(
-            np.any(probes != np.eye(m, dtype=complex), axis=1)
+            np.any(probes != _identity(m), axis=1)
         )
-        self.columns = probes[self.probed_param, :, self.probed_col].T  # (m, 2m^2 - m)
+        columns = probes[self.probed_param, :, self.probed_col]  # (2m^2 - m, m)
+        # (sources, weights) twice; a diagonal probe's second weight is 0.
+        sources = np.argsort(columns == 0, axis=1, kind="stable")[:, :2]
+        weights = np.take_along_axis(columns, sources, axis=1)
+        self.mix = [(sources[:, k].copy(), weights[:, k].copy()) for k in (0, 1)]
 
     def jacobian(
-        self, w: np.ndarray, res: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]
+        self, coords: np.ndarray, res: np.ndarray, price: Callable[[np.ndarray], np.ndarray]
     ) -> np.ndarray:
-        """Jacobian (R, P, m) at w, differenced against its residuals res (R, m)."""
-        # einsum, not matmul: a BLAS product may fuse the multiply-adds and
-        # round the probed members differently from the finite-difference form.
-        probed = _contributions(np.einsum("rdm,mn->rdn", w, self.columns), fn)
-        jac = np.zeros((w.shape[0], self.n_params, self.m))
+        """Jacobian (R, P, m) at coordinates (R, r, m) with residuals res (R, m)."""
+        (s0, w0), (s1, w1) = self.mix
+        probed = coords[..., s0] * w0 + coords[..., s1] * w1
+        jac = np.zeros((coords.shape[0], self.n_params, self.m))
         jac[:, self.probed_param, self.probed_col] = (
-            np.sqrt(probed) - res[:, self.probed_col]
+            np.sqrt(price(probed)) - res[:, self.probed_col]
         ) / self.STEP
         return jac
 
     def iterate(
         self,
-        w: np.ndarray,
+        coords: np.ndarray,
         cost: np.ndarray,
         damping: np.ndarray,
         res: np.ndarray,
         jac: np.ndarray,
-        fn: Callable[[np.ndarray], np.ndarray],
+        price: Callable[[np.ndarray], np.ndarray],
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One damped step per restart; returns (w, cost, damping, accept, res)."""
+        """One damped step per restart; returns (coords, cost, damping, accept, res)."""
         delta = _damped_steps(jac, res, damping)
         # A plain product: each generator entry has a single nonzero term in
         # its real and in its imaginary part, so the result is exact.
         gen = (delta @ self.dirs.reshape(self.n_params, -1)).reshape(-1, self.m, self.m)
-        candidates = np.einsum("rdm,rmn->rdn", w, _cayley(gen))
-        cand_contrib = _contributions(candidates, fn)
+        candidates = np.einsum("rjm,rmn->rjn", coords, _cayley(gen))
+        cand_contrib = price(candidates)
         cand_cost = cand_contrib.sum(axis=1)
-        # Accept only meaningful drops; float-dust improvements would otherwise
-        # keep a stalled restart alive indefinitely.
+        # Accept only meaningful drops; float-dust improvements would
+        # otherwise keep a stalled restart alive forever.
         accept = (cost - cand_cost) > np.maximum(1e-16, 1e-10 * cost)
-        w = np.where(accept[:, None, None], candidates, w)
+        coords = np.where(accept[:, None, None], candidates, coords)
         cost = np.where(accept, cand_cost, cost)
         damping = np.where(accept, damping * 0.35, damping * 5.0)
-        damping = np.clip(damping, 1e-13, 1e8)
+        damping = np.minimum(np.maximum(damping, 1e-13), 1e8)  # np.clip, faster
         res = np.where(accept[:, None], np.sqrt(cand_contrib), res)
-        return w, cost, damping, accept, res
+        return coords, cost, damping, accept, res
 
 
 def _damped_steps(jac: np.ndarray, res: np.ndarray, damping: np.ndarray) -> np.ndarray:
@@ -443,7 +440,8 @@ def _damped_steps(jac: np.ndarray, res: np.ndarray, damping: np.ndarray) -> np.n
     plain gradient step -J r / max(lam, 1) instead; the others are re-solved
     one at a time, so no restart's step depends on another's.
     """
-    gram = jac.transpose(0, 2, 1) @ jac + damping[:, None, None] * np.eye(jac.shape[2])
+    eye = _identity(jac.shape[2]).real
+    gram = jac.transpose(0, 2, 1) @ jac + damping[:, None, None] * eye
     try:
         y = np.linalg.solve(gram, res[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -462,80 +460,95 @@ def _polish(
     fn: Callable[[np.ndarray], np.ndarray],
     cfg: RoofConfig,
 ) -> list[tuple[float, np.ndarray]]:
-    """Draw cfg.restarts isometries at ensemble size m for every state and
-    polish all of them in one lockstep loop.
-
-    Each spectrum is a state's scaled eigenbasis and its eigenvalues. Every stop
-    rule reads the state's own restarts, so a state ends exactly where it
-    would alone. Returns, per state, the lowest cost and its member columns
-    (dim, m); ties go to the lowest restart index.
+    """Draw cfg.restarts isometries at ensemble size m for every state (its
+    scaled eigenbasis and eigenvalues, one rank for all) and polish them in
+    one lockstep loop. Returns, per state, the lowest cost and its member
+    columns B C (dim, m); ties go to the lowest restart index.
     """
     restarts = cfg.restarts
     n_states = len(spectra)
-    w = np.concatenate(
+    basis_t = np.repeat(np.stack([base.T for base, _ in spectra]), restarts, axis=0)
+    eigenvalues = np.repeat(np.stack([values for _, values in spectra]), restarts, axis=0)
+    coords = np.concatenate(
         [
-            base[None]
-            @ _draw_isometries(cfg.seed, restarts, m, eigenvalues).conj().transpose(0, 2, 1)
-            for base, eigenvalues in spectra
+            _draw_isometries(cfg.seed, restarts, m, values).conj().transpose(0, 2, 1)
+            for _, values in spectra
         ]
     )
     polish = _LockstepPolish(m)
-    contrib = _contributions(w, fn)
+    contrib = _range_contributions(coords, basis_t, eigenvalues, fn)
     cost = contrib.sum(axis=1)
-    res = np.sqrt(contrib)
-    jac = np.zeros((w.shape[0], polish.n_params, m))
-    moved = np.ones(w.shape[0], dtype=bool)  # columns changed since jac was set
-    damping = np.full(w.shape[0], 1e-2)
-    streak = np.zeros(w.shape[0], dtype=int)
-    active = np.ones(w.shape[0], dtype=bool)
+    active = np.ones(cost.size, dtype=bool)
+    # The live restarts, compact and in order; coords and cost (of all
+    # restarts) are written back before each gather.
+    ids = np.arange(cost.size)
+    c, c_cost, res = coords, cost, np.sqrt(contrib)
+    jac = np.zeros((cost.size, polish.n_params, m))
+    damping = np.full(cost.size, 1e-2)
+    streak = np.zeros(cost.size, dtype=int)  # rejections since the last move
     iterations = 0
     snapshot = cost.copy()
+    regather = True
+
+    def price(rows):
+        bt, lam = basis_t[rows], eigenvalues[rows]
+        return lambda x: _range_contributions(x, bt, lam, fn)
+
     while iterations < cfg.max_iterations:
-        # A state stops once its best restart reaches the tolerance or none
-        # of its restarts is active.
-        best = cost.reshape(n_states, restarts).min(axis=1)
-        running = active.reshape(n_states, restarts).any(axis=1) & ~(
-            best <= cfg.objective_tolerance
-        )
-        idx = np.nonzero(active & np.repeat(running, restarts))[0]
-        if not idx.size:
-            break
-        stale = idx[moved[idx]]
-        # At most one state's worth of probes per kernel call: a wide batch
-        # in one call would set the peak memory of the whole search.
+        if regather:
+            # A state stops once its best restart reaches the tolerance or none
+            # of its restarts is active.
+            best = cost.reshape(n_states, restarts).min(axis=1)
+            running = active.reshape(n_states, restarts).any(axis=1) & ~(
+                best <= cfg.objective_tolerance
+            )
+            keep = active[ids] & running[ids // restarts]
+            live = (ids, c, c_cost, res, jac, damping, streak, basis_t, eigenvalues)
+            ids, c, c_cost, res, jac, damping, streak, basis_t, eigenvalues = (
+                a[keep] for a in live
+            )
+            if not ids.size:
+                break
+        stale = np.nonzero(streak == 0)[0]  # moved since jac was set
+        # At most one state's worth of probes per kernel call: a wider batch
+        # would set the peak memory of the whole search.
         for lo in range(0, stale.size, restarts):
             block = stale[lo : lo + restarts]
-            jac[block] = polish.jacobian(w[block], res[block], fn)
-        w[idx], cost[idx], damping[idx], moved[idx], res[idx] = polish.iterate(
-            w[idx], cost[idx], damping[idx], res[idx], jac[idx], fn
+            jac[block] = polish.jacobian(c[block], res[block], price(block))
+        c, c_cost, damping, accept, res = polish.iterate(
+            c, c_cost, damping, res, jac, price(slice(None))
         )
         iterations += 1
-        streak[idx] = np.where(moved[idx], 0, streak[idx] + 1)
+        streak = np.where(accept, 0, streak + 1)
         # Retire restarts that converged or stopped making progress. Seven
         # straight rejections let the damping climb 5^7: a fresh draw on a
         # state with a light degenerate cluster, such as smolin(0.01) for
         # e_ms, can need six before its first accepted step.
-        done = (cost[idx] <= cfg.objective_tolerance) | (streak[idx] >= 7)
-        active[idx[done]] = False
+        done = (c_cost <= cfg.objective_tolerance) | (streak >= 7)
+        regather = iterations % 8 == 0 or bool(done.any())
+        if regather:
+            active[ids[done]] = False
+            coords[ids], cost[ids] = c, c_cost
         if iterations % 8 == 0:
-            # Retire restarts that cannot catch the running best: even at
-            # their pace over the last 8 steps for the whole remaining
-            # budget, they would end more than the tolerance above it. The
-            # leader always passes. Pace only extrapolates, and a restart on
-            # a plateau can escape it later, so the margin is the tolerance
-            # the roof is judged by. On a zero roof the rule keeps restarts
-            # whose pace could still reach zero; some of them are the
-            # eventual winners. The best is the state's own; stopped states
-            # never move again, so the rule may touch them.
+            # Retire restarts that, even at their pace over the last 8 steps
+            # for the rest of the budget, would end more than the tolerance
+            # above their state's best (the leader always passes). Pace only
+            # extrapolates and plateaus can be escaped, so on a zero roof the
+            # restarts that could still reach zero stay; some of them win.
+            # Stopped states never move again, so the rule may touch them.
             pace = (snapshot - cost) / 8
             horizon = cfg.max_iterations - iterations
             best = np.repeat(cost.reshape(n_states, restarts).min(axis=1), restarts)
             active &= cost - pace * horizon <= best + cfg.objective_tolerance
             snapshot = cost.copy()
 
+    coords[ids], cost[ids] = c, c_cost
     costs = cost.reshape(n_states, restarts)
     winners = costs.argmin(axis=1)
-    return [(float(costs[s, k]), w[s * restarts + k]) for s, k in enumerate(winners)]
+    return [
+        (float(costs[s, k]), spectra[s][0] @ coords[s * restarts + k])
+        for s, k in enumerate(winners)
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -663,16 +676,16 @@ def roof_minimize(
     starts as the spectral ensemble. At rank 2, while that best is above
     ``objective_tolerance``, an exact start comes next if it has at most m
     members: Osborne's ensemble for the one-tangle, which ends the search,
-    or, for the three-tangle, zeros of the hyperdeterminant whose mixture
-    is rho, when rho lies in their convex hull. Each stage (m = rank for
-    ranks of 3 or more below the ensemble size, then m) runs only while the
-    best is above ``objective_tolerance``. A start or a stage replaces the
-    best only with a strictly lower cost. So the value is an upper bound on
-    the true roof, never exceeds the spectral-ensemble average, and is
-    deterministic for a fixed config: restart streams are seeded from
-    (seed, restart index), and ties go to the spectral ensemble, then to the
-    start, then to the m = rank stage, then to the m stage, and within a
-    stage to the lowest restart index.
+    or, for the three-tangle, zeros of the hyperdeterminant whose convex
+    hull holds rho, where the roof is zero. Each stage (m = rank for ranks
+    of 3 or more below the ensemble size, then m; none at rank 1) runs only
+    while the best is above ``objective_tolerance``. A start or a stage
+    replaces the best only at a strictly lower cost, priced by the same
+    kernel. So the value is an upper bound on the true roof, never exceeds
+    the spectral-ensemble average, and is deterministic for a fixed config:
+    restart streams are seeded from (seed, restart index), and ties go to the
+    spectral ensemble, then to the start, then to the m = rank stage, then to
+    the m stage, and within a stage to the lowest restart index.
     """
     return roof_minimize_many([rho], measure, config, partition=partition)[0]
 
@@ -687,9 +700,9 @@ def roof_minimize_many(
     """roof_minimize for each state, with their searches polished together.
 
     The states must share one register size. Each stage runs one lockstep
-    loop per ensemble size, in ascending order, over the states whose best
-    is still above the tolerance, and every result is bit-identical to
-    roof_minimize on its state alone.
+    loop per ensemble size and rank, in ascending order, over the states
+    whose best is still above the tolerance, and every result is
+    bit-identical to roof_minimize on its state alone.
     """
     cfg = config or RoofConfig()
     rhos = list(rhos)
@@ -735,8 +748,8 @@ def roof_minimize_many(
             k for k, sizes in enumerate(stages)
             if len(sizes) > stage and best[k][0] > cfg.objective_tolerance
         ]
-        for m in sorted({stages[k][stage] for k in due}):
-            group = [k for k in due if stages[k][stage] == m]
+        for m, rank in sorted({(stages[k][stage], len(spectra[k][1])) for k in due}):
+            group = [k for k in due if (stages[k][stage], len(spectra[k][1])) == (m, rank)]
             for k, found in zip(group, _polish([spectra[k] for k in group], m, fn, cfg)):
                 if found[0] < best[k][0]:
                     best[k] = found

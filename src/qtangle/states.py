@@ -8,7 +8,7 @@ computational-basis index, so ``|q0 q1 ... q_{n-1}>`` maps to index
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -144,10 +144,16 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A unit-trace, Hermitian, positive-semidefinite operator on ``n_qubits`` qubits."""
+    """A unit-trace, Hermitian, positive-semidefinite operator on ``n_qubits`` qubits.
+
+    The eigendecomposition that validation computes is kept, read-only, in
+    ``_eigh`` (ascending values, column vectors), so no caller decomposes
+    the matrix again.
+    """
 
     matrix: np.ndarray
     n_qubits: int
+    _eigh: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_int("n_qubits", self.n_qubits, 1)
@@ -161,11 +167,14 @@ class DensityMatrix:
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > UNIT_ATOL:
             raise StateError(f"trace {trace!r} is not 1 within {UNIT_ATOL}")
-        lowest = float(np.linalg.eigvalsh(mat)[0])
+        vals, vecs = np.linalg.eigh(mat)
+        lowest = float(vals[0])
         if lowest < EIGENVALUE_FLOOR:
             raise StateError(f"eigenvalue {lowest!r} below {EIGENVALUE_FLOOR}")
-        mat.setflags(write=False)
+        for a in (mat, vals, vecs):
+            a.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "_eigh", (vals, vecs))
 
     @property
     def dim(self) -> int:
@@ -262,7 +271,7 @@ def spectral_decomposition(rho: DensityMatrix) -> Spectrum:
     largest-magnitude component real positive, so repeated calls (and different
     LAPACK builds) agree wherever the spectrum is nondegenerate.
     """
-    vals, vecs = np.linalg.eigh(rho.matrix)
+    vals, vecs = rho._eigh
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     rank = int(np.sum(vals > RANK_CUTOFF))

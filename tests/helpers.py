@@ -11,8 +11,9 @@ three-tangle and one-tangle roofs from the literature, and
 ``wn_mix_one_tangle_roof`` is the exact one-tangle roof of the W_n mixtures.
 ``hyperdeterminant_oracle`` expands Cayley's hyperdeterminant term by term,
 where the production kernel takes a discriminant of two 2x2 slices.
-The dense polish linearization rebuilds every finite-difference probe
-ensemble in full, as the sparse production path avoids doing, and
+The dense polish linearization applies every finite-difference probe to
+every member, where the production path mixes at most two members per
+probed one, and
 ``dense_lm_step`` solves the damped step over all m^2 parameters, where the
 production step solves an m x m system in the residual space.
 The ``*_oracle`` builders write each mixed family and its purification out
@@ -35,7 +36,7 @@ from qtangle import (
     spectral_decomposition,
     w,
 )
-from qtangle.roof import _cayley, _contributions, _generator_directions
+from qtangle.roof import _cayley, _generator_directions, _range_contributions
 from qtangle.verification import _random_pure
 
 SY2 = np.kron(
@@ -227,13 +228,17 @@ def projector(psi: StateVector) -> np.ndarray:
     return np.outer(psi.amplitudes, psi.amplitudes.conj())
 
 
-def dense_linearize(w: np.ndarray, fn, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals (R, m) and Jacobian (R, m^2, m) from all m^2 + 1 probe ensembles."""
-    m = w.shape[-1]
+def dense_linearize(
+    coords: np.ndarray, basis_t: np.ndarray, eigenvalues: np.ndarray, fn, step: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals (R, m) and Jacobian (R, m^2, m) of the coordinates (R, r, m)
+    in one range (basis_t and eigenvalues as ``roof._range_contributions`` takes
+    them) from all m^2 + 1 probe ensembles, each applied to every member."""
+    m = coords.shape[-1]
     eye = np.eye(m, dtype=complex)
     probe = np.concatenate([eye[None], _cayley(step * _generator_directions(m))], axis=0)
-    probed = np.einsum("rdm,pmn->prdn", w, probe)
-    res = np.sqrt(_contributions(probed, fn))  # (m^2 + 1, R, m)
+    probed = np.einsum("rjm,pmn->prjn", coords, probe)
+    res = np.sqrt(_range_contributions(probed, basis_t, eigenvalues, fn))  # (m^2 + 1, R, m)
     return res[0], (res[1:] - res[0]).swapaxes(0, 1) / step
 
 

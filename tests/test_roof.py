@@ -36,6 +36,7 @@ from qtangle.roof import (
     _damped_steps,
     _draw_isometries,
     _LockstepPolish,
+    _range_contributions,
     _resolve_measure,
 )
 from qtangle.sweep import SweepSpec, run_sweep
@@ -485,6 +486,24 @@ def test_roof_minimize_many_runs_one_loop_per_stage_and_size(monkeypatch):
     assert batch[5].value <= 1e-12
 
 
+def test_roof_minimize_many_runs_one_loop_per_rank_and_size(monkeypatch):
+    # Ranks 4 and 5 share the m = 6 stage, but each lockstep loop holds
+    # coordinate stacks of one rank.
+    states = [random_density(np.random.default_rng(7), 3, rank) for rank in (4, 5)]
+    cfg = RoofConfig(restarts=4, max_iterations=60, max_ensemble_size=6, seed=2)
+    loops: list[tuple[int, set[int], int]] = []
+    polish = roof_module._polish
+
+    def recorded_polish(starts, m, fn, config):
+        loops.append((m, {len(values) for _, values in starts}, len(starts)))
+        return polish(starts, m, fn, config)
+
+    monkeypatch.setattr(roof_module, "_polish", recorded_polish)
+    batch = roof_minimize_many(states, "one_tangle", cfg)
+    assert loops == [(4, {4}, 1), (5, {5}, 1), (6, {4}, 1), (6, {5}, 1)]
+    _assert_same_roofs(batch, [roof_minimize(rho, "one_tangle", cfg) for rho in states])
+
+
 def test_roof_minimize_many_checks_every_mixture(monkeypatch):
     # Spectral exits (the rank-1 state and the reduction of smolin(0.8))
     # included: each returned ensemble is checked against its state once.
@@ -555,23 +574,44 @@ def test_roof_determinism(state, measure):
         assert np.array_equal(s1.amplitudes, s2.amplitudes)
 
 
-def _random_columns(rng: np.random.Generator, restarts: int, dim: int, m: int) -> np.ndarray:
-    return rng.normal(size=(restarts, dim, m)) + 1j * rng.normal(size=(restarts, dim, m))
+def _random_range(
+    rng: np.random.Generator, n: int, rank: int, restarts: int, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Random coordinates (restarts, rank, m), and the transposed scaled
+    eigenbasis and the eigenvalues of a random rank-``rank`` state."""
+    spec = spectral_decomposition(random_density(rng, n, rank))
+    base = spec.eigenvectors * np.sqrt(spec.eigenvalues)
+    coords = rng.normal(size=(restarts, rank, m)) + 1j * rng.normal(size=(restarts, rank, m))
+    return coords / 4.0, base.T, spec.eigenvalues
 
 
-@pytest.mark.parametrize(
-    "measure, n, m",
-    [("three_tangle", 3, 4), ("one_tangle", 3, 4), ("e_ms", 4, 8)],
+# Each case draws a state of rank m // 2.
+_PRICED = pytest.mark.parametrize(
+    "measure, n, m", [("three_tangle", 3, 4), ("one_tangle", 3, 4), ("e_ms", 4, 8)]
 )
+
+
+@_PRICED
+def test_range_pricing_matches_column_pricing(measure, n, m):
+    fn = _resolve_measure(measure, n, (0,))
+    coords, basis_t, eigenvalues = _random_range(np.random.default_rng(89), n, m // 2, 5, m)
+    columns = basis_t.swapaxes(-1, -2) @ coords  # w = B C
+    priced = _range_contributions(coords, basis_t, eigenvalues, fn)
+    assert np.max(np.abs(priced - _contributions(columns, fn))) <= 1e-12
+
+
+@_PRICED
 def test_polish_jacobian_matches_dense_probes(measure, n, m):
-    rng = np.random.default_rng(97)
     fn = _resolve_measure(measure, n, (0,))
     polish = _LockstepPolish(m)
-    w = _random_columns(rng, 3, 2**n, m) / 4.0
-    res = np.sqrt(_contributions(w, fn))
-    dense_res, dense_jac = dense_linearize(w, fn, polish.STEP)
+    coords, basis_t, eigenvalues = _random_range(np.random.default_rng(97), n, m // 2, 3, m)
+    res = np.sqrt(_range_contributions(coords, basis_t, eigenvalues, fn))
+    dense_res, dense_jac = dense_linearize(coords, basis_t, eigenvalues, fn, polish.STEP)
     assert np.array_equal(res, dense_res)
-    assert np.array_equal(polish.jacobian(w, res, fn), dense_jac)
+    jac = polish.jacobian(
+        coords, res, lambda x: _range_contributions(x, basis_t, eigenvalues, fn)
+    )
+    assert np.array_equal(jac, dense_jac)
 
 
 @pytest.mark.parametrize("m", [4, 8])
@@ -586,35 +626,41 @@ def test_polish_iterate_only_prices(m):
 
     polish = _LockstepPolish(m)
     restarts = 5
-    w = _random_columns(rng, restarts, 8, m) / 4.0
-    contrib = _contributions(w, kernel)
+    coords, basis_t, eigenvalues = _random_range(rng, 3, 2, restarts, m)
+    contrib = _range_contributions(coords, basis_t, eigenvalues, kernel)
     res = np.sqrt(contrib)
-    jac = polish.jacobian(w, res, kernel)
+    jac = polish.jacobian(
+        coords, res, lambda x: _range_contributions(x, basis_t, eigenvalues, kernel)
+    )
     cost = contrib.sum(axis=1)
-    inputs = (w, cost, np.full(restarts, 1e-2), res, jac)
+    inputs = (coords, cost, np.full(restarts, 1e-2), res, jac)
     before = [a.copy() for a in inputs]
 
-    w_new, _, _, accept, res_new = polish.iterate(*inputs, fn)
+    def price(x):
+        return _range_contributions(x, basis_t, eigenvalues, fn)
+
+    c_new, _, _, accept, res_new = polish.iterate(*inputs, price)
     assert accept.any() and not accept.all()
     # One pricing call on the candidate members and nothing else.
     assert calls == [m * restarts]
     for a, b in zip(inputs, before):
         assert np.array_equal(a, b)
     # Accepted restarts carry the candidate's exact residuals; rejected ones
-    # keep their columns and residuals.
-    assert np.array_equal(res_new, np.sqrt(_contributions(w_new, kernel)))
-    assert np.array_equal(w_new[~accept], w[~accept])
+    # keep their coordinates and residuals.
+    priced = _range_contributions(c_new, basis_t, eigenvalues, kernel)
+    assert np.array_equal(res_new, np.sqrt(priced))
+    assert np.array_equal(c_new[~accept], coords[~accept])
     assert np.array_equal(res_new[~accept], res[~accept])
 
     # Damping 1e8 alone still gives drops near 1e-7, far above the acceptance
     # threshold; with the Jacobian's sign flipped every short step goes uphill.
     calls.clear()
-    w_new, _, _, accept, res_new = polish.iterate(
-        w, cost, np.full(restarts, 1e8), res, -jac, fn
+    c_new, _, _, accept, res_new = polish.iterate(
+        coords, cost, np.full(restarts, 1e8), res, -jac, price
     )
     assert not accept.any()
     assert calls == [m * restarts]
-    assert np.array_equal(w_new, w)
+    assert np.array_equal(c_new, coords)
     assert np.array_equal(res_new, res)
 
 
@@ -630,13 +676,13 @@ def test_polish_iterate_only_prices(m):
 def test_residual_space_step_matches_dense_normal_equations(state, measure, m):
     spec = spectral_decomposition(state)
     base = spec.eigenvectors * np.sqrt(spec.eigenvalues)
-    w = base[None] @ _draw_isometries(5, 6, m, spec.eigenvalues).conj().transpose(0, 2, 1)
+    coords = _draw_isometries(5, 6, m, spec.eigenvalues).conj().transpose(0, 2, 1)
     fn = _resolve_measure(measure, state.n_qubits, (0,))
-    res, jac = dense_linearize(w, fn, _LockstepPolish.STEP)
+    res, jac = dense_linearize(coords, base.T, spec.eigenvalues, fn, _LockstepPolish.STEP)
     # Below about 1e-6 damping the P x P oracle itself loses digits: its
     # condition number grows as |J|^2 / damping, the m x m system's does not.
     for lam in (1e-4, 1e-2, 1.0, 1e2, 1e8):
-        damping = np.full(w.shape[0], lam)
+        damping = np.full(coords.shape[0], lam)
         step, dense = _damped_steps(jac, res, damping), dense_lm_step(jac, res, damping)
         scale = np.max(np.abs(dense), axis=1, keepdims=True)
         assert np.all(np.abs(step - dense) <= 1e-9 * scale)
@@ -647,10 +693,14 @@ def test_singular_damped_system_falls_back_for_its_restart_alone():
     m, restarts, bad = 4, 5, 2
     fn = _resolve_measure("three_tangle", 3, (0,))
     polish = _LockstepPolish(m)
-    w = _random_columns(rng, restarts, 8, m) / 4.0
-    contrib = _contributions(w, fn)
+    coords, basis_t, eigenvalues = _random_range(rng, 3, 2, restarts, m)
+
+    def price(x):
+        return _range_contributions(x, basis_t, eigenvalues, fn)
+
+    contrib = price(coords)
     res = np.sqrt(contrib)
-    jac = polish.jacobian(w, res, fn)
+    jac = polish.jacobian(coords, res, price)
     damping = np.full(restarts, 1e-2)
     # A zero Jacobian with zero damping makes restart 2's system exactly singular.
     jac[bad] = 0.0
@@ -658,15 +708,15 @@ def test_singular_damped_system_falls_back_for_its_restart_alone():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(jac[bad].T @ jac[bad], res[bad])
     cost = contrib.sum(axis=1)
-    out = polish.iterate(w, cost, damping, res, jac, fn)
+    out = polish.iterate(coords, cost, damping, res, jac, price)
     rest = np.arange(restarts) != bad
-    alone = polish.iterate(w[rest], cost[rest], damping[rest], res[rest], jac[rest], fn)
+    alone = polish.iterate(*(a[rest] for a in (coords, cost, damping, res, jac)), price)
     assert alone[3].any()
     for got, expect in zip(out, alone):
         assert np.array_equal(got[rest], expect)
     # The failed restart took the gradient step, which is zero here: it stays.
     assert not out[3][bad]
-    assert np.array_equal(out[0][bad], w[bad])
+    assert np.array_equal(out[0][bad], coords[bad])
 
 
 def _separable(rng: np.random.Generator, rank: int) -> DensityMatrix:
@@ -708,13 +758,13 @@ def test_roof_computes_only_jacobians_the_next_step_uses(monkeypatch, state, mea
         events.append(("kernel", states.shape[0]))
         return batched(states, *args)
 
-    def logged_jacobian(self, w, res, fn):
-        events.append(("jacobian", w.copy()))
-        return jacobian(self, w, res, fn)
+    def logged_jacobian(self, coords, *args):
+        events.append(("jacobian", coords.copy()))
+        return jacobian(self, coords, *args)
 
-    def logged_iterate(self, w, *args):
-        events.append(("step", w.copy()))
-        out = iterate(self, w, *args)
+    def logged_iterate(self, coords, *args):
+        events.append(("step", coords.copy()))
+        out = iterate(self, coords, *args)
         events.append(("stepped", out[0][out[3]].copy()))
         return out
 
@@ -726,21 +776,21 @@ def test_roof_computes_only_jacobians_the_next_step_uses(monkeypatch, state, mea
 
     steps = [i for i, (kind, _) in enumerate(events) if kind == "step"]
     assert len(steps) > 1
-    moved = None  # columns accepted by the previous step; None before a stage's first
-    for i, (kind, w) in enumerate(events):
+    moved = None  # coordinates accepted by the previous step; None before a stage's first
+    for i, (kind, c) in enumerate(events):
         if kind == "draw":
             moved = None
         if kind == "stepped":
-            moved = {row.tobytes() for row in w}
+            moved = {row.tobytes() for row in c}
         if kind != "step":
             continue
-        # The restarts this step moves whose columns changed in their last
+        # The restarts this step moves whose coordinates changed in their last
         # step, in restart order: all of them on a stage's first step.
-        stale = np.array([moved is None or row.tobytes() in moved for row in w])
+        stale = np.array([moved is None or row.tobytes() in moved for row in c])
         if stale.any():
-            kind_before, w_before = events[i - 2]
+            kind_before, c_before = events[i - 2]
             assert kind_before == "jacobian"
-            assert np.array_equal(w_before, w[stale])
+            assert np.array_equal(c_before, c[stale])
         else:
             assert events[i - 1][0] != "kernel"
     # Every Jacobian is followed by the step that uses it, and the roof ends
@@ -750,7 +800,8 @@ def test_roof_computes_only_jacobians_the_next_step_uses(monkeypatch, state, mea
             assert events[i + 2][0] == "step"
     kernels = [i for i, (kind, _) in enumerate(events) if kind == "kernel"]
     assert steps[-1] < kernels[-1]
-    assert events[kernels[-1]][1] == events[steps[-1]][1].size // state.dim
+    last = events[steps[-1]][1]  # (restarts, rank, m)
+    assert events[kernels[-1]][1] == last.shape[0] * last.shape[2]
 
 
 def test_roof_rank_above_cap_rejected():

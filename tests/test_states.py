@@ -7,6 +7,7 @@ from qtangle import (
     DensityMatrix,
     StateError,
     StateVector,
+    concurrence,
     ghz,
     partial_trace,
     partial_transpose,
@@ -169,6 +170,23 @@ def test_spectral_decomposition_reconstructs():
         for col in spec.eigenvectors.T:
             lead = col[np.argmax(np.abs(col))]
             assert abs(lead.imag) < 1e-12 and lead.real > 0.0
+
+
+def test_one_eigendecomposition_per_state(monkeypatch):
+    # Validation decomposes the matrix once; the spectrum and the
+    # concurrence reuse that decomposition, and it stays read-only.
+    matrix = random_density(np.random.default_rng(19), 2, 3).matrix
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append("eigh") or eigh(a))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append("eigvalsh"))
+    rho = DensityMatrix(matrix, 2)
+    spectral_decomposition(rho)
+    concurrence(rho)
+    assert calls == ["eigh"]
+    vals, vecs = eigh(matrix)
+    assert np.array_equal(rho._eigh[0], vals) and np.array_equal(rho._eigh[1], vecs)
+    assert not (rho._eigh[0].flags.writeable or rho._eigh[1].flags.writeable)
 
 
 def test_purify_round_trip():
