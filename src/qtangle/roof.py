@@ -1,17 +1,22 @@
 """Convex-roof extension of pure-state measures by ensemble-decomposition search.
 
 Every decomposition of a rank-r state into m pure pieces is an m x r isometry
-applied to the scaled eigenbasis B, so the roof minimum is a search over the
-Stiefel manifold. Seeded random restarts run in lockstep: each draws an
-isometry, then a batched Levenberg-Marquardt polish of the member-mixing
-unitary (Cayley-parameterized, residuals sqrt(p_i * measure_i)) takes it
-down, to 1e-8 and below on states whose optimal ensembles sit in narrow
-curved valleys. A restart carries the r x m coordinates C of its members
-w = B C, which exist only as kernel rows; a probe mixes at most two members.
-A restart retires after 7 straight rejections, or when even its recent pace
-over the remaining budget would leave it more than the tolerance above the
-best. The live restarts are kept compact, gathered again only after a
-retirement or a pace check.
+applied to the scaled eigenbasis B (Hughston, Jozsa and Wootters, Phys. Lett.
+A 183, 14 (1993)). So every candidate (the spectral ensemble C = I, an exact
+rank-2 start, a polished restart) is the r x m range coordinates C of its
+members w = B C, priced by ``_range_contributions``, and ``_ensemble``
+builds every returned ensemble from B C.
+
+The roof minimum is a search over the Stiefel manifold. Seeded random
+restarts run in lockstep: each draws an isometry, then a batched
+Levenberg-Marquardt polish of the member-mixing unitary (Cayley-parameterized,
+residuals sqrt(p_i * measure_i)) takes it down, to 1e-8 and below on states
+whose optimal ensembles sit in narrow curved valleys. Members exist only as
+kernel rows, and a probe mixes at most two of them. A restart retires after
+7 straight rejections, or when even its recent pace over the remaining
+budget would leave it more than the tolerance above the best. The live
+restarts are kept compact, gathered again only after a retirement or a
+pace check.
 
 Restart draws alternate between Haar isometries and, when the spectrum has a
 degenerate cluster, block-diagonal draws that keep each cluster's members inside
@@ -77,20 +82,28 @@ DEGENERACY_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class Ensemble:
-    """A pure-state decomposition: members are (probability, state) pairs."""
+    """A pure-state decomposition: (probability, StateVector) pairs on one
+    register, with finite, positive, real probabilities that sum to 1."""
 
     members: tuple[tuple[float, StateVector], ...]
 
     def __post_init__(self) -> None:
-        if not self.members:
+        members = self.members
+        if not isinstance(members, (tuple, list)) or not all(
+            isinstance(m, (tuple, list)) and len(m) == 2 and isinstance(m[1], StateVector)
+            for m in members
+        ):
+            raise StateError("ensemble members must be (probability, StateVector) pairs")
+        if not members:
             raise StateError("ensemble needs at least one member")
-        probs = np.array([p for p, _ in self.members])
-        if not np.all(np.isfinite(probs)):
-            raise StateError(f"ensemble probabilities must be finite, got {probs!r}")
-        if np.any(probs <= 0.0):
+        probs = [check_real("ensemble probability", p, 0.0, np.inf) for p, _ in members]
+        if min(probs) == 0.0:
             raise StateError("ensemble probabilities must be positive")
-        if abs(float(probs.sum()) - 1.0) > PROB_SUM_ATOL:
-            raise StateError(f"ensemble probabilities sum to {probs.sum()!r}, not 1")
+        if len({psi.n_qubits for _, psi in members}) > 1:
+            raise StateError("ensemble members must share one register size")
+        if abs(sum(probs) - 1.0) > PROB_SUM_ATOL:
+            raise StateError(f"ensemble probabilities sum to {sum(probs)!r}, not 1")
+        object.__setattr__(self, "members", tuple(zip(probs, (psi for _, psi in members))))
 
     def mixture(self) -> np.ndarray:
         """Sum of p_i |psi_i><psi_i| as a plain matrix."""
@@ -223,39 +236,24 @@ def ensemble_from_isometry(rho: DensityMatrix, v: DecompositionIsometry) -> Ense
             f"isometry has {v.cols} columns but the state has rank {spec.eigenvalues.shape[0]}"
         )
     base = spec.eigenvectors * np.sqrt(spec.eigenvalues)
-    columns = base @ v.entries.conj().T  # (dim, m); column i is the unnormalized member
-    ensemble = _ensemble_from_columns(columns, rho.n_qubits)
+    return _ensemble(rho, base @ v.entries.conj().T)
+
+
+def _ensemble(rho: DensityMatrix, columns: np.ndarray) -> Ensemble:
+    """The ensemble of rho whose members are the columns (dim, k), unnormalized,
+    with empty ones dropped; its mixture is checked against rho."""
+    probs = np.einsum("di,di->i", columns, columns.conj()).real
+    members = [
+        (float(p), StateVector(columns[:, i] / np.sqrt(p), rho.n_qubits))
+        for i, p in enumerate(probs) if p >= MEMBER_DROP
+    ]
+    ensemble = Ensemble(tuple(members))
     ensemble.check_mixture(rho)
     return ensemble
 
 
-def _ensemble_from_columns(columns: np.ndarray, n_qubits: int) -> Ensemble:
-    probs = np.einsum("di,di->i", columns, columns.conj()).real
-    members = []
-    for i in range(columns.shape[1]):
-        if probs[i] < MEMBER_DROP:
-            continue
-        members.append(
-            (float(probs[i]), StateVector(columns[:, i] / np.sqrt(probs[i]), n_qubits))
-        )
-    return Ensemble(tuple(members))
-
-
 # --------------------------------------------------------------------------
 # optimizer internals
-
-
-def _contributions(
-    columns: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """p_i * measure(psi_i) >= 0 for every member column; leading axes are batch axes."""
-    norms = np.einsum("...di,...di->...i", columns, columns.conj()).real
-    safe = np.sqrt(np.maximum(norms, 1e-300))
-    states = (columns / safe[..., None, :]).swapaxes(-1, -2)
-    flat = np.ascontiguousarray(states.reshape(-1, columns.shape[-2]))
-    vals = fn(flat).reshape(norms.shape)
-    vals = np.where(norms > 1e-14, vals, 0.0)
-    return np.maximum(norms * vals, 0.0)
 
 
 def _range_contributions(
@@ -462,8 +460,9 @@ def _polish(
 ) -> list[tuple[float, np.ndarray]]:
     """Draw cfg.restarts isometries at ensemble size m for every state (its
     scaled eigenbasis and eigenvalues, one rank for all) and polish them in
-    one lockstep loop. Returns, per state, the lowest cost and its member
-    columns B C (dim, m); ties go to the lowest restart index.
+    one lockstep loop. Returns, per state, the lowest cost and its range
+    coordinates C (r, m); ties go to the lowest restart index. Candidates are
+    priced by ``_range_contributions`` against the eigenvalues.
     """
     restarts = cfg.restarts
     n_states = len(spectra)
@@ -545,10 +544,7 @@ def _polish(
     coords[ids], cost[ids] = c, c_cost
     costs = cost.reshape(n_states, restarts)
     winners = costs.argmin(axis=1)
-    return [
-        (float(costs[s, k]), spectra[s][0] @ coords[s * restarts + k])
-        for s, k in enumerate(winners)
-    ]
+    return [(float(costs[s, k]), coords[s * restarts + k]) for s, k in enumerate(winners)]
 
 
 # --------------------------------------------------------------------------
@@ -564,10 +560,11 @@ _CHART = np.array([[0.8, -0.36 + 0.48j], [0.36 + 0.48j, 0.8]])
 def _rank2_start(
     name: str, eigenvalues: np.ndarray, eigenvectors: np.ndarray, n: int, subset: tuple[int, ...]
 ) -> np.ndarray | None:
-    """Member columns (dim, k) of an exact ensemble of a rank-2 state, or None.
+    """Range coordinates (2, k) of an exact ensemble of a rank-2 state, or None.
 
     For the one-tangle this is Osborne's optimal ensemble; for the
     three-tangle, zeros of the hyperdeterminant whose mixture is the state.
+    Member k is sqrt(weight_k) V ray_k, and B = V Lambda^(1/2).
     """
     # The state's own Pauli vector: it is diagonal in its eigenbasis.
     target = np.array(
@@ -580,7 +577,7 @@ def _rank2_start(
     if found is None:
         return None
     rays, weights = found
-    return eigenvectors @ (rays * np.sqrt(weights))
+    return rays * np.sqrt(weights / eigenvalues[:, None])
 
 
 def _osborne_members(
@@ -680,9 +677,10 @@ def roof_minimize(
     hull holds rho, where the roof is zero. Each stage (m = rank for ranks
     of 3 or more below the ensemble size, then m; none at rank 1) runs only
     while the best is above ``objective_tolerance``. A start or a stage
-    replaces the best only at a strictly lower cost, priced by the same
-    kernel. So the value is an upper bound on the true roof, never exceeds
-    the spectral-ensemble average, and is deterministic for a fixed config:
+    replaces the best only at a strictly lower cost, and every candidate is
+    the range coordinates C of its members B C, priced by one function. So
+    the value is an upper bound on the true roof, never exceeds the
+    spectral-ensemble average, and is deterministic for a fixed config:
     restart streams are seeded from (seed, restart index), and ties go to the
     spectral ensemble, then to the start, then to the m = rank stage, then to
     the m stage, and within a stage to the lowest restart index.
@@ -714,7 +712,7 @@ def roof_minimize_many(
         raise StateError("roof_minimize_many needs states of one register size")
     fn = _resolve_measure(name, n, partition)
 
-    best = []  # (cost, member columns) of the lowest ensemble found so far
+    best = []  # (cost, range coordinates) of the lowest ensemble found so far
     spectra = []  # (scaled eigenbasis, eigenvalues)
     stages = []  # the ensemble size of each stage, in order
     for rho in rhos:
@@ -724,7 +722,12 @@ def roof_minimize_many(
         if rank > m:
             raise StateError(f"rank {rank} exceeds the ensemble-size cap {m}")
         base = spec.eigenvectors * np.sqrt(spec.eigenvalues)
-        best.append((float(_contributions(base, fn).sum()), base))
+        # One-off candidates are priced against B's own squared column norms:
+        # the eigenvalues match them only to rounding, and the kernels are not
+        # scale-invariant (a pure GHZ's one-tangle of 1 would read 1 + 2e-16).
+        norms = np.einsum("di,di->i", base, base.conj()).real
+        spectral = _identity(rank)  # C = I
+        best.append((float(_range_contributions(spectral, base.T, norms, fn).sum()), spectral))
         spectra.append((base, spec.eigenvalues))
         # An ensemble of rank members has rank^2 - rank real freedoms (the
         # mixing unitary up to member phases). At rank 2 that is 2 against the
@@ -734,11 +737,11 @@ def roof_minimize_many(
         # reach the tolerance far sooner at m = rank than at m.
         sizes = () if rank == 1 else (rank, m) if 3 <= rank < m else (m,)
         if rank == 2 and name != "e_ms" and best[-1][0] > cfg.objective_tolerance:
-            columns = _rank2_start(name, spec.eigenvalues, spec.eigenvectors, n, partition)
-            if columns is not None and columns.shape[1] <= m:
-                cost = float(_contributions(columns, fn).sum())
+            coords = _rank2_start(name, spec.eigenvalues, spec.eigenvectors, n, partition)
+            if coords is not None and coords.shape[1] <= m:
+                cost = float(_range_contributions(coords, base.T, norms, fn).sum())
                 if cost < best[-1][0]:
-                    best[-1] = (cost, columns)
+                    best[-1] = (cost, coords)
                 if name == "one_tangle":
                     sizes = ()  # Osborne's ensemble is optimal
         stages.append(sizes)
@@ -754,12 +757,10 @@ def roof_minimize_many(
                 if found[0] < best[k][0]:
                     best[k] = found
 
-    results = []
-    for rho, (cost, columns) in zip(rhos, best):
-        ensemble = _ensemble_from_columns(columns, n)
-        ensemble.check_mixture(rho)
-        results.append(RoofResult(cost, ensemble))
-    return results
+    return [
+        RoofResult(cost, _ensemble(rho, base @ coords))
+        for rho, (cost, coords), (base, _) in zip(rhos, best, spectra)
+    ]
 
 
 def measure_env_povm(
@@ -774,6 +775,12 @@ def measure_env_povm(
     env_subset = check_subset(env, psi.n_qubits, allow_full=False)
     system = tuple(q for q in range(psi.n_qubits) if q not in env_subset)
     dim_env = 2 ** len(env_subset)
+    try:
+        povm = tuple(povm)
+    except TypeError:
+        raise StateError(f"POVM must be an iterable of PovmElements, got {povm!r}") from None
+    if not all(isinstance(element, PovmElement) for element in povm):
+        raise StateError("every POVM item must be a PovmElement")
 
     total = np.zeros((dim_env, dim_env), dtype=complex)
     for element in povm:
@@ -786,22 +793,13 @@ def measure_env_povm(
     # |psi> as a (system, environment) matrix, both in register order.
     t = _batched.qubits_first(psi.amplitudes[None], psi.n_qubits, system)[0]
 
-    members = []
+    columns = []
     for element in povm:
         vals, vecs = np.linalg.eigh(element.operator)
         heavy = vals > RANK_CUTOFF
         if int(heavy.sum()) > 1:
             raise StateError("mixed-unsupported: POVM element has rank above 1")
-        if int(heavy.sum()) == 0:
-            continue  # zero element: outcome never occurs
-        weight = float(vals[heavy][0])
-        direction = vecs[:, heavy][:, 0]
-        column = np.sqrt(weight) * (t @ direction.conj())
-        prob = float(np.sum(np.abs(column) ** 2))
-        if prob < MEMBER_DROP:
-            continue
-        members.append((prob, StateVector(column / np.sqrt(prob), len(system))))
-
-    ensemble = Ensemble(tuple(members))
-    ensemble.check_mixture(partial_trace(psi, system))
-    return ensemble
+        if heavy.any():  # a zero element's outcome never occurs
+            columns.append(np.sqrt(vals[heavy][0]) * (t @ vecs[:, heavy][:, 0].conj()))
+    # The elements sum to the identity, so at least one is nonzero.
+    return _ensemble(partial_trace(psi, system), np.stack(columns, axis=1))

@@ -11,6 +11,8 @@ three-tangle and one-tangle roofs from the literature, and
 ``wn_mix_one_tangle_roof`` is the exact one-tangle roof of the W_n mixtures.
 ``hyperdeterminant_oracle`` expands Cayley's hyperdeterminant term by term,
 where the production kernel takes a discriminant of two 2x2 slices.
+``_contributions`` prices ensemble members from their columns w = B C,
+where production prices every candidate from its range coordinates C.
 The dense polish linearization applies every finite-difference probe to
 every member, where the production path mixes at most two members per
 probed one, and
@@ -226,6 +228,17 @@ def purify_oracle(rho: DensityMatrix) -> np.ndarray:
 
 def projector(psi: StateVector) -> np.ndarray:
     return np.outer(psi.amplitudes, psi.amplitudes.conj())
+
+
+def _contributions(columns: np.ndarray, fn) -> np.ndarray:
+    """p_i * measure(psi_i) >= 0 for every member column; leading axes are batch axes."""
+    norms = np.einsum("...di,...di->...i", columns, columns.conj()).real
+    safe = np.sqrt(np.maximum(norms, 1e-300))
+    states = (columns / safe[..., None, :]).swapaxes(-1, -2)
+    flat = np.ascontiguousarray(states.reshape(-1, columns.shape[-2]))
+    vals = fn(flat).reshape(norms.shape)
+    vals = np.where(norms > 1e-14, vals, 0.0)
+    return np.maximum(norms * vals, 0.0)
 
 
 def dense_linearize(

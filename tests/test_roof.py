@@ -11,7 +11,9 @@ from qtangle import (
     RoofConfig,
     StateError,
     ensemble_from_isometry,
+    bell,
     concurrence,
+    e_ms,
     ghz,
     measure_env_povm,
     one_tangle,
@@ -32,7 +34,6 @@ from qtangle import _batched
 from qtangle import roof as roof_module
 from qtangle.formulas import p1, tau_a1_formula
 from qtangle.roof import (
-    _contributions,
     _damped_steps,
     _draw_isometries,
     _LockstepPolish,
@@ -42,6 +43,7 @@ from qtangle.roof import (
 from qtangle.sweep import SweepSpec, run_sweep
 
 from helpers import (
+    _contributions,
     dense_linearize,
     dense_lm_step,
     ghz_w_one_tangle_roof,
@@ -70,6 +72,22 @@ def test_ensemble_validation():
     ):
         with pytest.raises(StateError, match="finite"):
             Ensemble(members)
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        ((0.5, ghz(3)), (0.5, bell(0))),  # two register sizes
+        ((1.0, ghz(3).amplitudes),),  # a bare array, not a StateVector
+        ((1 + 0j, ghz(3)),),
+        (("1.0", ghz(3)),),
+        (ghz(3),),  # not a pair
+    ],
+    ids=["mixed_registers", "bare_array", "complex_probability", "string_probability", "bare_state"],
+)
+def test_ensemble_refuses_malformed_members(members):
+    with pytest.raises(StateError):
+        Ensemble(members)
 
 
 def test_ensemble_mixture_and_average():
@@ -280,6 +298,29 @@ def test_rank2_two_qubit_one_tangle_roofs_match_wootters():
         assert abs(res.value - concurrence(rho) ** 2) <= 1e-12
 
 
+@pytest.mark.parametrize("rank, count", [(3, 4), (4, 2)])
+def test_two_qubit_one_tangle_roofs_match_wootters_at_rank_3_and_4(rank, count):
+    # The first ``count`` states of rank ``rank`` from a fresh generator, and
+    # at rank 4 also the separable I/4, whose roof is 0.
+    rng = np.random.default_rng(11)
+    rhos = [random_density(rng, 2, rank) for _ in range(count)]
+    if rank == 4:
+        rhos.append(DensityMatrix(np.eye(4) / 4.0, 2))
+    for k, (rho, res) in enumerate(zip(rhos, roof_minimize_many(rhos, "one_tangle"))):
+        assert -1e-12 <= res.value - concurrence(rho) ** 2 <= 2e-8, k
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_wn_mix_has_no_multipartite_tangles(n):
+    # The paper's headline for its N-qubit family: no genuine three-, ...,
+    # N-qubit entanglement, read as zero e_ms and three-tangle roofs.
+    states = [rho_wn_mix(n, alpha) for alpha in (1.0 / (n + 1), 0.5)]
+    reduced = [partial_trace(rho, (0, 1, 2)) for rho in states]
+    roofs = roof_minimize_many(states, "e_ms") + roof_minimize_many(reduced, "three_tangle")
+    for res in roofs:
+        assert res.value <= 1e-12
+
+
 def test_wn_mix_one_tangle_oracle_matches_paper_formula():
     for n in range(3, 10):
         assert abs(wn_mix_one_tangle_roof(n, 1.0 / (n + 1)) - tau_a1_formula(n)) < 1e-15, n
@@ -352,6 +393,33 @@ def test_polish_never_ends_below_the_osborne_start(n, partition):
     for rho, (cost, _) in zip(rhos, searched):
         exact = roof_minimize(rho, "one_tangle", partition=partition).value
         assert cost >= exact - 1e-12
+
+
+@pytest.mark.parametrize(
+    "state, measure, cfg",
+    [
+        (partial_trace(smolin(0.8), (0, 1, 2)), "three_tangle", RoofConfig()),
+        (rho_ghz_w(0.5), "one_tangle", RoofConfig()),
+        (rho_ghz_w(0.3), "three_tangle", RoofConfig()),
+        (random_density(np.random.default_rng(1), 3, 3), "three_tangle", LIGHT),
+        (smolin(0.85), "e_ms", RoofConfig()),
+    ],
+    ids=["spectral", "osborne", "zero_set", "polished_rank3", "smolin_e_ms"],
+)
+def test_roof_value_is_its_ensemble_average(state, measure, cfg):
+    pure = {
+        "one_tangle": lambda psi: one_tangle(psi, (0,)),
+        "three_tangle": three_tangle_pure,
+        "e_ms": e_ms,
+    }[measure]
+    res = roof_minimize(state, measure, cfg)
+    assert abs(res.value - res.ensemble.average(pure)) <= 1e-12
+
+
+def test_pure_ghz_one_tangle_roof_is_exactly_one():
+    # The spectral ensemble is priced against its members' own norms, not
+    # the eigenvalue, which is 1 only to rounding.
+    assert roof_minimize(rho_ghz_w(1.0), "one_tangle").value == 1.0
 
 
 def test_roof_stops_before_budget_on_linear_branch(monkeypatch):
@@ -865,6 +933,19 @@ def test_measure_env_povm_rejects_mixed_elements():
     half = PovmElement(np.eye(2) * 0.5)
     with pytest.raises(StateError, match="mixed-unsupported"):
         measure_env_povm(psi4(0.5), (3,), [half, half])
+
+
+def test_measure_env_povm_reads_a_generator_once():
+    ens = measure_env_povm(psi4(0.4), (3,), (element for element in _plus_minus()))
+    assert len(ens.members) == 2
+    ens.check_mixture(rho_ghz_w(0.4))
+
+
+def test_measure_env_povm_refuses_raw_operators():
+    with pytest.raises(StateError, match="PovmElement"):
+        measure_env_povm(psi4(0.5), (3,), [e.operator for e in _plus_minus()])
+    with pytest.raises(StateError):
+        measure_env_povm(psi4(0.5), (3,), 7)
 
 
 def test_measure_env_povm_rejects_wrong_dimension():
